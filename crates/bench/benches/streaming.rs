@@ -31,12 +31,12 @@ fn bench_batch_vs_streaming(c: &mut Criterion) {
     let bits = n_symbols * RATE.n_cbps() / 2 - 6;
     group.bench_function(BenchmarkId::new("batch", n_symbols), |b| {
         let (mut g, _) = build_chain(bits);
-        b.iter(|| g.run().expect("runs"));
+        b.iter(|| g.execute(&ExecPlan::batch()).expect("runs"));
     });
     for &chunk in &[80usize, 320, 1280] {
         group.bench_function(BenchmarkId::new(format!("chunk{chunk}"), n_symbols), |b| {
             let (mut g, _) = build_chain(bits);
-            b.iter(|| g.run_streaming(chunk).expect("runs"));
+            b.iter(|| g.execute(&ExecPlan::streaming(chunk)).expect("runs"));
         });
     }
     group.finish();
@@ -84,7 +84,7 @@ fn bench_scenario_runner(c: &mut Criterion) {
                 let pa = g.add(RappPa::new(1.0, 3.0).with_input_backoff_db(i as f64));
                 let meter = g.add(PowerMeter::new());
                 g.chain(&[src, pa, meter])?;
-                g.run()?;
+                g.execute(&ExecPlan::batch())?;
                 Ok(g.block::<PowerMeter>(meter)
                     .expect("present")
                     .power()

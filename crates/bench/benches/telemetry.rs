@@ -1,9 +1,10 @@
 //! Telemetry overhead benchmarks: instrumented vs uninstrumented graph
 //! runs, and the transmitter's stage-timing hook on vs off.
 //!
-//! The acceptance bar is that `run_streaming_instrumented` stays within a
-//! few percent of `run_streaming` — the recorder only adds two `Instant`
-//! reads and a handful of counter bumps per block invocation.
+//! The acceptance bar is that a telemetry-on plan stays within a few
+//! percent of the same plan with telemetry off — the recorder only adds
+//! two `Instant` reads and a handful of counter bumps per block
+//! invocation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ofdm_bench::payload_bits;
@@ -32,11 +33,13 @@ fn bench_instrumented_streaming(c: &mut Criterion) {
     for &chunk in &[80usize, 1280] {
         group.bench_function(BenchmarkId::new("plain", chunk), |b| {
             let mut g = build_chain(bits);
-            b.iter(|| g.run_streaming(chunk).expect("runs"));
+            let plan = ExecPlan::streaming(chunk);
+            b.iter(|| g.execute(&plan).expect("runs"));
         });
         group.bench_function(BenchmarkId::new("instrumented", chunk), |b| {
             let mut g = build_chain(bits);
-            b.iter(|| black_box(g.run_streaming_instrumented(chunk).expect("runs")));
+            let plan = ExecPlan::streaming(chunk).with_telemetry(true);
+            b.iter(|| black_box(g.execute(&plan).expect("runs")));
         });
     }
     group.finish();
@@ -48,11 +51,12 @@ fn bench_instrumented_batch(c: &mut Criterion) {
     let bits = 100 * RATE.n_cbps() / 2 - 6;
     group.bench_function("plain", |b| {
         let mut g = build_chain(bits);
-        b.iter(|| g.run().expect("runs"));
+        b.iter(|| g.execute(&ExecPlan::batch()).expect("runs"));
     });
     group.bench_function("instrumented", |b| {
         let mut g = build_chain(bits);
-        b.iter(|| black_box(g.run_instrumented().expect("runs")));
+        let plan = ExecPlan::batch().with_telemetry(true);
+        b.iter(|| black_box(g.execute(&plan).expect("runs")));
     });
     group.finish();
 }

@@ -375,11 +375,15 @@ fn bench_chain(params: &ofdm_core::params::OfdmParams, bits: usize) -> Graph {
 fn emit_bench_json(path: &str, n_symbols: usize) -> Result<(), Box<dyn std::error::Error>> {
     let n_symbols = n_symbols.max(1);
     const CHUNK: usize = 256;
+    let plain = ExecPlan::streaming(CHUNK);
+    let instrumented = ExecPlan::streaming(CHUNK).with_telemetry(true);
     let mut standards: Vec<(String, Value)> = Vec::new();
     for id in StandardId::ALL {
         let p = default_params(id);
         let bits = n_symbols * p.nominal_bits_per_symbol().max(100);
-        let report = bench_chain(&p, bits).run_streaming_instrumented(CHUNK)?;
+        let report = bench_chain(&p, bits)
+            .execute(&instrumented)?
+            .ok_or("telemetry was requested")?;
         let per_block: Vec<(String, Value)> = report
             .blocks
             .iter()
@@ -440,47 +444,18 @@ fn emit_bench_json(path: &str, n_symbols: usize) -> Result<(), Box<dyn std::erro
     let wlan = ieee80211a::params(rate);
     let t_plain = time_per_run(
         || {
-            bench_chain(&wlan, wlan_bits)
-                .run_streaming(CHUNK)
-                .expect("runs");
+            bench_chain(&wlan, wlan_bits).execute(&plain).expect("runs");
         },
         3,
     );
     let t_inst = time_per_run(
         || {
             bench_chain(&wlan, wlan_bits)
-                .run_streaming_instrumented(CHUNK)
+                .execute(&instrumented)
                 .expect("runs");
         },
         3,
     );
-
-    // Unified-engine guard: the legacy shim entrypoint vs an explicit
-    // `ExecPlan` driving the same chain. The shim is a one-line delegate,
-    // so anything outside timing noise (< 5%, enforced by `--check-bench`)
-    // means the refactor grew a real cost. The bursts are interleaved and
-    // each side keeps its best window, so slow frequency/load drift over
-    // the measurement hits both entrypoints instead of biasing the ratio.
-    // One prebuilt graph per entrypoint — graph/model construction is
-    // allocation-heavy and jittery, and the gate times the scheduler loop,
-    // not the constructors.
-    let engine_plan = ExecPlan::streaming(CHUNK);
-    let mut g_shim = bench_chain(&wlan, wlan_bits);
-    let mut g_engine = bench_chain(&wlan, wlan_bits);
-    let mut t_shim = f64::INFINITY;
-    let mut t_engine = f64::INFINITY;
-    for _ in 0..8 {
-        let t = std::time::Instant::now();
-        for _ in 0..8 {
-            g_shim.run_streaming(CHUNK).expect("runs");
-        }
-        t_shim = t_shim.min(t.elapsed().as_secs_f64() / 8.0);
-        let t = std::time::Instant::now();
-        for _ in 0..8 {
-            g_engine.execute(&engine_plan).expect("runs");
-        }
-        t_engine = t_engine.min(t.elapsed().as_secs_f64() / 8.0);
-    }
 
     // Fault-injection sweep outcome counts (the graceful-degradation gate
     // rides along in the trajectory file).
@@ -499,14 +474,6 @@ fn emit_bench_json(path: &str, n_symbols: usize) -> Result<(), Box<dyn std::erro
             finite_ratio(t_inst, t_plain).into(),
         ),
         ("standards".into(), Value::Object(standards)),
-        (
-            "exec_engine".into(),
-            Value::Object(vec![
-                ("shim_ns".into(), (t_shim * 1e9).into()),
-                ("engine_ns".into(), (t_engine * 1e9).into()),
-                ("ratio".into(), finite_ratio(t_engine, t_shim).into()),
-            ]),
-        ),
         ("fault_sweep".into(), faults.to_json_value()),
         ("supervision".into(), supervision_snapshot()?),
         ("simd_speedup".into(), simd_speedup_snapshot()?),
@@ -519,11 +486,10 @@ fn emit_bench_json(path: &str, n_symbols: usize) -> Result<(), Box<dyn std::erro
     std::fs::write(path, format!("{doc}\n"))?;
     println!(
         "wrote {path}: {} standards, RTL/behavioral {:.1}x, instrumentation overhead {:.3}x, \
-         engine/shim {:.3}x, fault survival {:.0}%, SoA kernel geomean {:.1}x",
+         fault survival {:.0}%, SoA kernel geomean {:.1}x",
         StandardId::ALL.len(),
         finite_ratio(t_rtl, t_beh),
         finite_ratio(t_inst, t_plain),
-        finite_ratio(t_engine, t_shim),
         faults.survival_rate() * 100.0,
         simd_geomean,
     );
@@ -546,8 +512,10 @@ fn supervision_snapshot() -> Result<Value, Box<dyn std::error::Error>> {
     );
     let pa = g.add(SoftClipPa::new(1.0));
     g.chain(&[src, bad, pa])?;
-    g.set_breaker_policy(Some(BreakerPolicy::new().with_threshold(1)));
-    let run = g.run_streaming_instrumented(256)?;
+    let plan = ExecPlan::streaming(256)
+        .with_telemetry(true)
+        .with_breaker_policy(Some(BreakerPolicy::new().with_threshold(1)));
+    let run = g.execute(&plan)?.ok_or("telemetry was requested")?;
 
     // Watchdog: one of four scenarios hangs and is killed at its budget.
     let supervisor = SweepSupervisor::new()
@@ -562,8 +530,7 @@ fn supervision_snapshot() -> Result<Value, Box<dyn std::error::Error>> {
                 let src = g.add(StalledSource::new(20.0e6, Duration::from_millis(2)));
                 let pa = g.add(SoftClipPa::new(1.0));
                 g.chain(&[src, pa])?;
-                ctx.supervise(&mut g);
-                g.run_streaming(64)?;
+                g.execute(&ctx.supervise(ExecPlan::streaming(64)))?;
             }
             e10_scenario_power(0xBE, i)
         });

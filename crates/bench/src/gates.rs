@@ -26,9 +26,9 @@ fn finite(v: Option<f64>, what: &str) -> Result<f64, String> {
 }
 
 /// Validates a `bench-ofdm/v1` document: every required key present and
-/// well-typed for all ten standards, the optional fault/engine/SIMD/
-/// supervision sections sound when present, and every gated ratio within
-/// its floor. This is the CI gate on the telemetry pipeline.
+/// well-typed for all ten standards, the optional fault/SIMD/supervision
+/// sections sound when present, and every gated ratio within its floor.
+/// This is the CI gate on the telemetry pipeline.
 pub fn check_bench_doc(doc: &Value) -> Result<(), String> {
     if doc.get("schema").and_then(Value::as_str) != Some("bench-ofdm/v1") {
         return Err("missing or wrong `schema` (want \"bench-ofdm/v1\")".into());
@@ -103,30 +103,6 @@ pub fn check_bench_doc(doc: &Value) -> Result<(), String> {
         if !(0.0..=1.0).contains(&rate) {
             return Err(format!(
                 "`fault_sweep`.`survival_rate` must be in [0, 1], got {rate}"
-            ));
-        }
-    }
-    // The unified-engine guard: optional in files predating the ExecPlan
-    // refactor, but when present the plan-driven engine must sit within
-    // timing noise (< 5%) of the legacy shim entrypoint it replaced.
-    if let Some(engine) = doc.get("exec_engine") {
-        for field in ["shim_ns", "engine_ns"] {
-            let v = finite(
-                engine.get(field).and_then(Value::as_f64),
-                &format!("`exec_engine`.`{field}`"),
-            )?;
-            if v <= 0.0 {
-                return Err(format!("`exec_engine`.`{field}` must be positive, got {v}"));
-            }
-        }
-        let ratio = finite(
-            engine.get("ratio").and_then(Value::as_f64),
-            "`exec_engine`.`ratio`",
-        )?;
-        if !(0.95..=1.05).contains(&ratio) {
-            return Err(format!(
-                "`exec_engine`.`ratio` must be within 5% of 1.0 (engine within \
-                 noise of the shim), got {ratio}"
             ));
         }
     }
@@ -599,19 +575,6 @@ mod tests {
 
     #[test]
     fn bench_doc_rejects_out_of_range_ratios() {
-        let mut doc = valid_bench_doc();
-        set(
-            &mut doc,
-            "exec_engine",
-            obj(vec![
-                ("shim_ns", Value::from(1.0e6)),
-                ("engine_ns", Value::from(1.2e6)),
-                ("ratio", Value::from(1.2)),
-            ]),
-        );
-        let err = check_bench_doc(&doc).expect_err("ratio out of band");
-        assert!(err.contains("within 5%"), "{err}");
-
         let mut doc = valid_bench_doc();
         set(
             &mut doc,

@@ -91,7 +91,7 @@ fn e6_pa_matches_legacy_evm_exactly() {
         let src = g.add(SamplePlayback::new(frame.signal().clone()));
         let pa = g.add(RappPa::new(1.0, 3.0).with_input_backoff_db(ibo));
         g.chain(&[src, pa]).expect("wires");
-        g.run().expect("runs");
+        g.execute(&ExecPlan::batch()).expect("runs");
         let out = g.output(pa).expect("ran");
         let legacy = evm_after_gain_correction(&p, &frame, out, 6);
         assert_eq!(value(&run, label, "base", "evm_db"), legacy, "{label}");

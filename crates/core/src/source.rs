@@ -21,10 +21,9 @@ use rfsim::{Block, Signal, SimError};
 /// the RNG advances.
 ///
 /// The source also implements the chunked streaming protocol
-/// ([`Block::stream_chunk`]): under a streaming [`rfsim::ExecPlan`]
-/// (or the [`rfsim::Graph::run_streaming`] shim) it emits the same frame
-/// in bounded chunks, bit-identical to the batch output for the same
-/// seed.
+/// ([`Block::stream_chunk`]): under a streaming [`rfsim::ExecPlan`] it
+/// emits the same frame in bounded chunks, bit-identical to the batch
+/// output for the same seed.
 ///
 /// # Example
 ///
@@ -39,7 +38,7 @@ use rfsim::{Block, Signal, SimError};
 /// let tx = g.add(src);
 /// let pa = g.add(RappPa::new(1.0, 3.0));
 /// g.connect(tx, pa, 0)?;
-/// g.execute(&ExecPlan::batch())?; // ≡ the g.run() shim
+/// g.execute(&ExecPlan::batch())?;
 /// assert!(g.output(pa).expect("ran").len() > 0);
 /// # Ok(())
 /// # }
@@ -210,7 +209,7 @@ mod tests {
         let tx = g.add(src);
         let meter = g.add(PowerMeter::new());
         g.connect(tx, meter, 0).unwrap();
-        g.run().unwrap();
+        g.execute(&ExecPlan::batch()).unwrap();
         let out = g.output(tx).unwrap();
         // 240 bits / 24 per symbol = 10 symbols × 80 samples.
         assert_eq!(out.len(), 800);

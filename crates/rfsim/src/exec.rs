@@ -1,24 +1,14 @@
-//! The unified execution engine: one plan, one executor, one scheduler.
+//! The execution engine: one plan, one scheduler.
 //!
-//! PRs 1–4 each bolted a capability onto the scheduler — streaming,
-//! telemetry, fault guards, supervision — and every capability arrived as
-//! another `run*` entrypoint with its own feature wiring. This module is
-//! the consolidation: an [`ExecPlan`] describes *one* graph pass (mode plus
-//! feature toggles), [`Graph::execute`](crate::Graph::execute) owns the one
-//! true scheduler loop that interprets it, and [`Executor`] is a reusable
-//! handle that applies the same plan to many graphs. The legacy entrypoints
-//! ([`Graph::run`](crate::Graph::run),
-//! [`Graph::run_instrumented`](crate::Graph::run_instrumented),
-//! [`Graph::run_streaming`](crate::Graph::run_streaming),
-//! [`Graph::run_streaming_instrumented`](crate::Graph::run_streaming_instrumented))
-//! survive as thin shims that build the equivalent plan.
+//! An [`ExecPlan`] describes *one* graph pass — its mode plus every
+//! feature toggle — and [`Graph::execute`](crate::Graph::execute), the only
+//! way to run a graph, owns the scheduler loop that interprets it. The
+//! sweep analogue is [`SweepPlan`](crate::scenario::SweepPlan).
 //!
 //! The same move the paper makes at the model level — one Mother Model,
 //! N parameterizations — applied to execution: one engine, N plans.
 //! Features *compose* here (any mode × telemetry × guard × budget ×
-//! cancellation × breakers) instead of multiplying entrypoints, and a
-//! future parallel or multi-backend executor plugs in behind the same
-//! [`ExecPlan`] surface.
+//! cancellation × breakers) instead of multiplying entrypoints.
 //!
 //! # Example
 //!
@@ -42,8 +32,7 @@
 //! ```
 
 use crate::supervise::{BreakerPolicy, BreakerState, CancelToken, Health};
-use crate::telemetry::{RunMode, RunReport};
-use crate::{Graph, SimError};
+use crate::telemetry::RunMode;
 use std::time::Duration;
 
 /// How one execution moves samples through the graph.
@@ -59,7 +48,7 @@ pub enum ExecMode {
     /// O(chunk length × nodes).
     Streaming {
         /// Maximum samples per chunk; zero is rejected with
-        /// [`SimError::InvalidChunkLen`].
+        /// [`SimError::InvalidChunkLen`](crate::SimError::InvalidChunkLen).
         chunk_len: usize,
     },
 }
@@ -77,16 +66,9 @@ impl From<ExecMode> for RunMode {
 /// feature toggle the engine understands.
 ///
 /// Built with the builder methods and handed to
-/// [`Graph::execute`](crate::Graph::execute) (or an [`Executor`]). The
-/// plan is the *whole* truth for a pass — the engine reads its toggles,
-/// not the graph's configured defaults, so two executions with the same
-/// plan are wired identically regardless of graph-level setters. Use
-/// [`Graph::plan`](crate::Graph::plan) to lift the graph's configuration
-/// ([`Graph::guard_non_finite`](crate::Graph::guard_non_finite),
-/// [`Graph::set_budget`](crate::Graph::set_budget),
-/// [`Graph::set_cancel_token`](crate::Graph::set_cancel_token),
-/// [`Graph::set_breaker_policy`](crate::Graph::set_breaker_policy)) into a
-/// plan — that is exactly what the legacy `run*` shims do.
+/// [`Graph::execute`](crate::Graph::execute). The plan is the *whole*
+/// truth for a pass — the graph carries no execution options — so two
+/// executions with the same plan are wired identically.
 #[derive(Debug, Clone, Default)]
 pub struct ExecPlan {
     mode: ExecMode,
@@ -98,40 +80,33 @@ pub struct ExecPlan {
 }
 
 impl ExecPlan {
-    /// A plan for `mode` with every feature off.
-    pub fn new(mode: ExecMode) -> Self {
-        ExecPlan {
-            mode,
-            ..ExecPlan::default()
-        }
-    }
-
     /// A whole-pass batch plan with every feature off.
     pub fn batch() -> Self {
-        ExecPlan::new(ExecMode::Batch)
+        ExecPlan::default()
     }
 
     /// A chunked streaming plan with every feature off.
     pub fn streaming(chunk_len: usize) -> Self {
-        ExecPlan::new(ExecMode::Streaming { chunk_len })
-    }
-
-    /// Builder: replaces the execution mode.
-    pub fn with_mode(mut self, mode: ExecMode) -> Self {
-        self.mode = mode;
-        self
+        ExecPlan {
+            mode: ExecMode::Streaming { chunk_len },
+            ..ExecPlan::default()
+        }
     }
 
     /// Builder: record per-block timing, sample flow and buffer high-water
-    /// marks into a [`RunReport`]. Off by default — an unrecorded pass
-    /// pays no instrumentation cost.
+    /// marks into a [`RunReport`](crate::RunReport). Off by default — an
+    /// unrecorded pass pays no instrumentation cost.
     pub fn with_telemetry(mut self, enabled: bool) -> Self {
         self.telemetry = enabled;
         self
     }
 
     /// Builder: scan every block output for NaN/inf samples and fail the
-    /// pass with [`SimError::NonFiniteSample`] at the first hit.
+    /// pass with
+    /// [`SimError::NonFiniteSample`](crate::SimError::NonFiniteSample) at
+    /// the first hit. Off by default — the scan is O(samples) per block;
+    /// fault-injection sweeps ([`crate::fault`]) turn it on to convert
+    /// corruption into typed errors.
     pub fn guard_non_finite(mut self, enabled: bool) -> Self {
         self.guard_non_finite = enabled;
         self
@@ -151,8 +126,8 @@ impl ExecPlan {
     }
 
     /// Builder: enable per-block circuit breakers under `policy` (see
-    /// [`Graph::set_breaker_policy`](crate::Graph::set_breaker_policy) for
-    /// the bypass/fail-fast semantics).
+    /// [`Graph::execute`](crate::Graph::execute) for the bypass/fail-fast
+    /// semantics).
     pub fn with_breaker_policy(mut self, policy: Option<BreakerPolicy>) -> Self {
         self.breakers = policy;
         self
@@ -163,7 +138,7 @@ impl ExecPlan {
         self.mode
     }
 
-    /// Whether the pass records a [`RunReport`].
+    /// Whether the pass records a [`RunReport`](crate::RunReport).
     pub fn telemetry(&self) -> bool {
         self.telemetry
     }
@@ -189,64 +164,10 @@ impl ExecPlan {
     }
 }
 
-/// A reusable engine handle: one [`ExecPlan`] applied to any number of
-/// graphs.
-///
-/// [`Graph::execute`](crate::Graph::execute) is the engine itself; an
-/// `Executor` carries the plan for callers that run the same configuration
-/// over many graphs (scenario sweeps, standard registries) — the sweep
-/// analogue is [`SweepPlan`](crate::scenario::SweepPlan).
-///
-/// # Example
-///
-/// ```
-/// use rfsim::prelude::*;
-///
-/// # fn main() -> Result<(), SimError> {
-/// let engine = Executor::new(ExecPlan::streaming(128).with_telemetry(true));
-/// for snr_db in [10.0, 20.0] {
-///     let mut g = Graph::new();
-///     let tone = g.add(ToneSource::new(0.0, 1.0e6, 512));
-///     let ch = g.add(AwgnChannel::from_snr_db(snr_db, 7).with_reference_power(1.0));
-///     let meter = g.add(PowerMeter::new());
-///     g.chain(&[tone, ch, meter])?;
-///     let report = engine.run(&mut g)?.expect("telemetry was requested");
-///     assert_eq!(report.source_samples(), 512);
-/// }
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Executor {
-    plan: ExecPlan,
-}
-
-impl Executor {
-    /// An executor that runs `plan`.
-    pub fn new(plan: ExecPlan) -> Self {
-        Executor { plan }
-    }
-
-    /// The plan this executor applies.
-    pub fn plan(&self) -> &ExecPlan {
-        &self.plan
-    }
-
-    /// Executes the plan on `graph`; returns the [`RunReport`] when the
-    /// plan enables telemetry.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Graph::execute`](crate::Graph::execute).
-    pub fn run(&self, graph: &mut Graph) -> Result<Option<RunReport>, SimError> {
-        graph.execute(&self.plan)
-    }
-}
-
 /// The graph's runtime state, kept separate from its structure (nodes and
-/// wiring) and its configuration (the setter-backed plan defaults).
+/// wiring).
 ///
-/// One `ExecState` lives on each [`Graph`]; every execution begins by
+/// One `ExecState` lives on each [`Graph`](crate::Graph); every execution begins by
 /// resetting the per-run portion ([`ExecState::begin_run`]) and
 /// [`Graph::reset`](crate::Graph::reset) replaces the whole value — reset
 /// semantics are structural, not a convention of clearing individual
@@ -267,8 +188,6 @@ pub(crate) struct ExecState {
     pub(crate) breakers: Vec<BreakerState>,
     /// Per-node bypassed-invocation counts for the most recent execution.
     pub(crate) bypassed: Vec<u64>,
-    /// The report of the most recent instrumented execution, if any.
-    pub(crate) last_report: Option<RunReport>,
 }
 
 impl ExecState {
@@ -288,9 +207,7 @@ impl ExecState {
     }
 
     /// Resets the per-run portion at execution start. Breaker states
-    /// persist (their memory is the fail-fast contract); the retained
-    /// report is cleared separately at the top of
-    /// [`Graph::execute`](crate::Graph::execute).
+    /// persist (their memory is the fail-fast contract).
     pub(crate) fn begin_run(&mut self) {
         self.health = Health::Healthy;
         self.breaker_trips = 0;
@@ -322,10 +239,6 @@ mod tests {
             Some(2),
             "policy carried"
         );
-        // Mode can be swapped without disturbing the toggles.
-        let rebased = plan.clone().with_mode(ExecMode::Batch);
-        assert_eq!(rebased.mode(), ExecMode::Batch);
-        assert!(rebased.telemetry() && rebased.guards_non_finite());
     }
 
     #[test]

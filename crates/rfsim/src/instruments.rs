@@ -1,9 +1,9 @@
 //! Measurement instruments.
 //!
 //! Instruments are pass-through blocks that retain a measurement from the
-//! signal flowing through them; after [`crate::Graph::run`], fetch the block
-//! back with [`crate::Graph::block`] and read the result — like placing a
-//! probe on an RF schematic node.
+//! signal flowing through them; after [`crate::Graph::execute`], fetch the
+//! block back with [`crate::Graph::block`] and read the result — like
+//! placing a probe on an RF schematic node.
 
 use crate::block::{Block, SimError};
 use crate::signal::Signal;

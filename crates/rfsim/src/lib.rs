@@ -25,7 +25,7 @@
 //! let src = g.add(ToneSource::new(1.0e6, 20.0e6, 4096));
 //! let amp = g.add(RappPa::new(1.0, 2.0).with_gain_db(10.0));
 //! g.connect(src, amp, 0)?;
-//! g.run()?;
+//! g.execute(&ExecPlan::batch())?;
 //! let out = g.output(amp).expect("amplifier ran");
 //! assert_eq!(out.sample_rate(), 20.0e6);
 //! # Ok(())
@@ -50,19 +50,13 @@ pub mod telemetry;
 
 pub use block::{Block, SimError};
 pub use channel::{CfoChannel, FadingChannel, FadingTap, PhaseNoiseChannel};
-pub use exec::{ExecMode, ExecPlan, Executor};
+pub use exec::{ExecMode, ExecPlan};
 pub use fault::{
     ClockDriftJitter, FaultInjector, FaultPlan, FaultStats, NanInjector, SampleDropper,
     StalledSource,
 };
 pub use graph::{BlockId, Graph};
-// The deprecated free-function runners stay re-exported so downstream
-// callers get the deprecation note instead of a hard break.
-#[allow(deprecated)]
-pub use scenario::{
-    run_scenarios, run_scenarios_checkpointed, run_scenarios_resilient, run_scenarios_supervised,
-    scenario_seed, RetryPolicy, ScenarioCtx, ScenarioOutcome, Scenarios, SweepPlan,
-};
+pub use scenario::{scenario_seed, RetryPolicy, ScenarioCtx, ScenarioOutcome, SweepPlan};
 pub use signal::Signal;
 pub use supervise::{
     BlockRole, BreakerPolicy, BreakerState, CancelToken, CheckpointEntry, CheckpointPayload,
@@ -78,7 +72,7 @@ pub mod prelude {
         AwgnChannel, CfoChannel, DslLineChannel, FadingChannel, FadingTap, ImpulsiveNoiseChannel,
         MultipathChannel, PhaseNoiseChannel, RayleighChannel,
     };
-    pub use crate::exec::{ExecMode, ExecPlan, Executor};
+    pub use crate::exec::{ExecMode, ExecPlan};
     pub use crate::fault::{
         ClockDriftJitter, FaultInjector, FaultPlan, FaultStats, NanInjector, SampleDropper,
         StalledSource,
@@ -90,11 +84,8 @@ pub mod prelude {
     };
     pub use crate::pa::{RappPa, SalehPa, SoftClipPa};
     pub use crate::rate::{Downsampler, GainBlock, Upsampler};
-    #[allow(deprecated)]
     pub use crate::scenario::{
-        run_scenarios, run_scenarios_checkpointed, run_scenarios_instrumented,
-        run_scenarios_resilient, run_scenarios_supervised, scenario_seed, RetryPolicy, ScenarioCtx,
-        ScenarioOutcome, Scenarios, SweepPlan,
+        scenario_seed, RetryPolicy, ScenarioCtx, ScenarioOutcome, SweepPlan,
     };
     pub use crate::signal::Signal;
     pub use crate::source::{SamplePlayback, ToneSource};

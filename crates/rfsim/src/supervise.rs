@@ -8,12 +8,14 @@
 //! This module supplies the supervision side of the fault story started by
 //! [`crate::fault`]:
 //!
-//! * **Deadlines** — [`Graph::set_budget`](crate::Graph::set_budget) arms a
+//! * **Deadlines** — a plan budget
+//!   ([`ExecPlan::with_budget`](crate::ExecPlan::with_budget)) arms a
 //!   wall-clock [`Deadline`] checked at every block boundary (per chunk in
 //!   streaming runs); an overrun fails the pass with
 //!   [`SimError::DeadlineExceeded`].
-//! * **Cancellation** — a [`CancelToken`] installed via
-//!   [`Graph::set_cancel_token`](crate::Graph::set_cancel_token) is polled
+//! * **Cancellation** — a [`CancelToken`] carried by the plan
+//!   ([`ExecPlan::with_cancel_token`](crate::ExecPlan::with_cancel_token)
+//!   or [`ScenarioCtx::supervise`](crate::ScenarioCtx::supervise)) is polled
 //!   at the same boundaries, so a watchdog thread
 //!   ([`crate::scenario::SweepPlan::run`]) can kill a runaway
 //!   scenario cooperatively with [`SimError::Cancelled`].
@@ -77,9 +79,9 @@ impl fmt::Display for Health {
 
 /// A wall-clock budget armed at run start and checked at block boundaries.
 ///
-/// Construct via [`Deadline::starting_now`]; the schedulers arm one
-/// automatically when [`Graph::set_budget`](crate::Graph::set_budget) is
-/// configured.
+/// Construct via [`Deadline::starting_now`]; the scheduler arms one
+/// automatically when the plan carries a budget
+/// ([`ExecPlan::with_budget`](crate::ExecPlan::with_budget)).
 #[derive(Debug, Clone, Copy)]
 pub struct Deadline {
     started: Instant,
@@ -352,7 +354,7 @@ impl BlockRole {
 }
 
 /// Thresholds for the per-block circuit breaker
-/// ([`Graph::set_breaker_policy`](crate::Graph::set_breaker_policy)).
+/// ([`ExecPlan::with_breaker_policy`](crate::ExecPlan::with_breaker_policy)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakerPolicy {
     threshold: u32,

@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ch = g.add(MultipathChannel::two_ray(180, 0.5));
     let noise = g.add(AwgnChannel::from_snr_db(26.0, 4));
     g.chain(&[src, ch, noise])?;
-    g.run()?;
+    g.execute(&ExecPlan::batch())?;
     let received = g.output(noise).expect("channel ran").clone();
 
     // Receiver: estimate the channel from the boosted pilots only —

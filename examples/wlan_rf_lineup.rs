@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ));
     let meter = g.add(PowerMeter::new());
     g.chain(&[src, dac, iq, lo, pa, sa, acpr, mask, meter])?;
-    g.run()?;
+    g.execute(&ExecPlan::batch())?;
 
     // Read the instruments back, like probing the schematic.
     let sa_ref = g.block::<SpectrumAnalyzer>(sa).expect("analyzer present");

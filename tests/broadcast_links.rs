@@ -38,7 +38,7 @@ fn dab_differential_survives_static_multipath_without_equalization() {
     let ch = g.add(MultipathChannel::two_ray(20, 0.4));
     let noise = g.add(AwgnChannel::from_snr_db(28.0, 7));
     g.chain(&[src, ch, noise]).expect("wiring");
-    g.run().expect("runs");
+    g.execute(&ExecPlan::batch()).expect("runs");
     let received = g.output(noise).expect("ran").clone();
 
     // NO channel estimate installed: differential demod self-references.
@@ -62,7 +62,7 @@ fn dab_survives_slow_rayleigh_fading() {
     let fading = g.add(RayleighChannel::new(vec![(0, 1.0)], 2.0, 3)); // 2 Hz Doppler
     let noise = g.add(AwgnChannel::from_snr_db(30.0, 9));
     g.chain(&[src, fading, noise]).expect("wiring");
-    g.run().expect("runs");
+    g.execute(&ExecPlan::batch()).expect("runs");
     let received = g.output(noise).expect("ran").clone();
 
     let mut rx = ReferenceReceiver::new(params).expect("valid");
@@ -88,7 +88,7 @@ fn dab_fast_fading_degrades_gracefully() {
         let fading = g.add(RayleighChannel::new(vec![(0, 1.0)], doppler, 3));
         let noise = g.add(AwgnChannel::from_snr_db(30.0, 9));
         g.chain(&[src, fading, noise]).expect("wiring");
-        g.run().expect("runs");
+        g.execute(&ExecPlan::batch()).expect("runs");
         let received = g.output(noise).expect("ran").clone();
         let mut rx = ReferenceReceiver::new(params.clone()).expect("valid");
         let got = rx.receive(&received, sent.len()).expect("decodes");
@@ -124,7 +124,7 @@ fn homeplug_robo_mode_defeats_impulsive_noise() {
         let src = g.add(SamplePlayback::new(frame.signal().clone()));
         let ch = g.add(ImpulsiveNoiseChannel::new(28.0, 0.05, 34.0, 17));
         g.chain(&[src, ch]).expect("wiring");
-        g.run().expect("runs");
+        g.execute(&ExecPlan::batch()).expect("runs");
         let received = g.output(ch).expect("ran").clone();
         let mut rx = ReferenceReceiver::new(params.clone()).expect("valid");
         let got = rx.receive(&received, sent.len()).expect("decodes");

@@ -21,7 +21,7 @@ fn ofdm_source_drives_full_rf_lineup() {
     let meter = g.add(PowerMeter::new());
     g.chain(&[src, dac, iq, lo, pa, ch, sa, meter])
         .expect("wiring");
-    g.run().expect("simulation runs");
+    g.execute(&ExecPlan::batch()).expect("simulation runs");
 
     // The waveform flowed end to end at the right rate.
     let out = g.output(meter).expect("ran");
@@ -85,7 +85,7 @@ fn pa_nonlinearity_causes_spectral_regrowth() {
         let pa = g.add(RappPa::new(1.0, 3.0).with_input_backoff_db(backoff));
         let sa = g.add(SpectrumAnalyzer::new(512));
         g.chain(&[src, pa, sa]).expect("wiring");
-        g.run().expect("runs");
+        g.execute(&ExecPlan::batch()).expect("runs");
         let psd = g
             .block::<SpectrumAnalyzer>(sa)
             .expect("present")
@@ -114,7 +114,7 @@ fn graph_exposes_intermediate_nodes_for_probing() {
     let pa = g.add(SoftClipPa::new(2.0));
     let sink = g.add(PowerMeter::new());
     g.chain(&[src, pa, sink]).expect("wiring");
-    g.run().expect("runs");
+    g.execute(&ExecPlan::batch()).expect("runs");
     for id in [src, pa, sink] {
         assert!(g.output(id).is_some());
     }

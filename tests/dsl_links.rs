@@ -30,7 +30,7 @@ fn loop_ber(id: StandardId, loss_db: f64, snr_db: f64, seed: u64) -> f64 {
     let line = g.add(DslLineChannel::new(loss_db, 300e3));
     let noise = g.add(AwgnChannel::from_snr_db(snr_db, seed ^ 0xA5));
     g.chain(&[src, line, noise]).expect("wiring");
-    g.run().expect("runs");
+    g.execute(&ExecPlan::batch()).expect("runs");
     let received = g.output(noise).expect("ran").clone();
 
     // Data-aided channel estimation over the first half of the frame (the
@@ -92,7 +92,7 @@ fn vdsl_frame_structure_survives_the_line() {
     let line = g.add(DslLineChannel::new(1.0, 300e3));
     let noise = g.add(AwgnChannel::from_snr_db(60.0, 6));
     g.chain(&[src, line, noise]).expect("wiring");
-    g.run().expect("runs");
+    g.execute(&ExecPlan::batch()).expect("runs");
     let received = g.output(noise).expect("ran").clone();
 
     let demod = OfdmDemodulator::new(params.clone());

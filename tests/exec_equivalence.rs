@@ -1,10 +1,9 @@
-//! The unified-engine contract: every legacy `Graph` entrypoint
-//! (`run`, `run_instrumented`, `run_streaming`,
-//! `run_streaming_instrumented`) is a thin shim over
-//! `Graph::execute(&ExecPlan)`, so a plan-driven run must reproduce the
-//! shim-driven run bit for bit — outputs, measurements, run reports and
-//! failure modes — for every feature combination the plan can express
-//! (guard × telemetry × budget × breakers, batch and streaming).
+//! The execution contract: `Graph::execute(&ExecPlan)` is the only way to
+//! run a graph, and every feature the plan can switch on (guard ×
+//! telemetry × budget × breakers, batch and streaming) leaves a clean
+//! pass bit-identical to the plain plan — outputs, measurements and run
+//! reports — while the failure paths surface as typed errors with the
+//! expected health and breaker counters.
 
 use rfsim::prelude::*;
 use std::time::Duration;
@@ -42,20 +41,20 @@ fn build_faulty_chain(error_rate: f64, nan_rate: f64) -> (Graph, BlockId, BlockI
 }
 
 /// Reports must agree on everything except wall-clock timings.
-fn assert_reports_match(shim: &RunReport, engine: &RunReport, label: &str) {
-    assert_eq!(shim.mode, engine.mode, "{label}: mode");
-    assert_eq!(shim.rounds, engine.rounds, "{label}: rounds");
-    assert_eq!(shim.health, engine.health, "{label}: health");
+fn assert_reports_match(want: &RunReport, got: &RunReport, label: &str) {
+    assert_eq!(want.mode, got.mode, "{label}: mode");
+    assert_eq!(want.rounds, got.rounds, "{label}: rounds");
+    assert_eq!(want.health, got.health, "{label}: health");
     assert_eq!(
-        shim.breaker_trips, engine.breaker_trips,
+        want.breaker_trips, got.breaker_trips,
         "{label}: breaker trips"
     );
     assert_eq!(
-        shim.bypassed_invocations, engine.bypassed_invocations,
+        want.bypassed_invocations, got.bypassed_invocations,
         "{label}: bypassed invocations"
     );
-    assert_eq!(shim.blocks.len(), engine.blocks.len(), "{label}: blocks");
-    for (a, b) in shim.blocks.iter().zip(&engine.blocks) {
+    assert_eq!(want.blocks.len(), got.blocks.len(), "{label}: blocks");
+    for (a, b) in want.blocks.iter().zip(&got.blocks) {
         assert_eq!(a.name, b.name, "{label}: block name");
         assert_eq!(
             a.invocations, b.invocations,
@@ -78,86 +77,66 @@ fn assert_reports_match(shim: &RunReport, engine: &RunReport, label: &str) {
 }
 
 /// The full feature matrix on a clean chain: guard × telemetry × budget ×
-/// breakers, batch and streaming. The shim graph is configured through the
-/// legacy setters and driven through the legacy entrypoint; the engine
-/// graph stays unconfigured and receives everything through the
-/// `ExecPlan`. Outputs must be bit-identical and reports equal modulo
-/// timing.
+/// breakers, batch and streaming. Each plan is compared against the plain
+/// plan of its mode: the probed output and the meter reading must be
+/// bit-identical, a report must come back exactly when telemetry is on,
+/// and its shape must match the plain instrumented pass modulo timing.
 #[test]
-fn execute_matches_every_legacy_entrypoint_per_feature_combination() {
+fn every_plan_matches_the_plain_plan_per_feature_combination() {
     let chunk_len = 77usize;
-    for &streaming in &[false, true] {
-        for &telemetry in &[false, true] {
-            for &guard in &[false, true] {
-                for &budget in &[None, Some(Duration::from_secs(3600))] {
-                    for &breakers in &[None, Some(BreakerPolicy::new().with_threshold(2))] {
+    let mut batch_output = None;
+    for plain in [ExecPlan::batch(), ExecPlan::streaming(chunk_len)] {
+        let (mut reference, ch, meter) = build_chain(11);
+        let want_report = reference
+            .execute(&plain.clone().with_telemetry(true))
+            .expect("plain pass")
+            .expect("telemetry was requested");
+        let want_output = reference.output(ch).expect("probed").clone();
+        let want_power = reference.block::<PowerMeter>(meter).unwrap().power();
+        assert_eq!(want_report.mode, plain.mode().into());
+        assert_eq!(want_report.health, Health::Healthy);
+        // Batch and streaming agree on the signal path, too.
+        assert_eq!(
+            batch_output.get_or_insert_with(|| want_output.clone()),
+            &want_output,
+            "streaming output differs from batch"
+        );
+
+        for telemetry in [false, true] {
+            for guard in [false, true] {
+                for budget in [None, Some(Duration::from_secs(3600))] {
+                    for breakers in [None, Some(BreakerPolicy::new().with_threshold(2))] {
                         let label = format!(
-                            "streaming={streaming} telemetry={telemetry} guard={guard} \
-                             budget={} breakers={}",
+                            "mode={:?} telemetry={telemetry} guard={guard} budget={} \
+                             breakers={}",
+                            plain.mode(),
                             budget.is_some(),
                             breakers.is_some()
                         );
-
-                        // Shim side: configuration lives on the graph.
-                        let (mut shim, ch, meter) = build_chain(11);
-                        shim.guard_non_finite(guard);
-                        shim.set_budget(budget);
-                        shim.set_breaker_policy(breakers);
-                        let shim_report = match (streaming, telemetry) {
-                            (false, false) => {
-                                shim.run().expect(&label);
-                                None
-                            }
-                            (false, true) => Some(shim.run_instrumented().expect(&label)),
-                            (true, false) => {
-                                shim.run_streaming(chunk_len).expect(&label);
-                                None
-                            }
-                            (true, true) => {
-                                Some(shim.run_streaming_instrumented(chunk_len).expect(&label))
-                            }
-                        };
-
-                        // Engine side: configuration lives on the plan.
-                        let mode = if streaming {
-                            ExecMode::Streaming { chunk_len }
-                        } else {
-                            ExecMode::Batch
-                        };
-                        let plan = ExecPlan::new(mode)
+                        let plan = plain
+                            .clone()
                             .with_telemetry(telemetry)
                             .guard_non_finite(guard)
                             .with_budget(budget)
                             .with_breaker_policy(breakers);
-                        let (mut engine, ch2, meter2) = build_chain(11);
-                        let engine_report = engine.execute(&plan).expect(&label);
+                        let (mut g, ch, meter) = build_chain(11);
+                        let report = g.execute(&plan).expect(&label);
 
-                        // Bit-identical signal path and measurement.
                         assert_eq!(
-                            engine.output(ch2).expect(&label),
-                            shim.output(ch).expect(&label),
+                            g.output(ch).expect(&label),
+                            &want_output,
                             "{label}: probed channel output"
                         );
                         assert_eq!(
-                            engine.block::<PowerMeter>(meter2).unwrap().power(),
-                            shim.block::<PowerMeter>(meter).unwrap().power(),
+                            g.block::<PowerMeter>(meter).unwrap().power(),
+                            want_power,
                             "{label}: measured power"
                         );
-
-                        // Matching telemetry contract.
-                        assert_eq!(
-                            shim_report.is_some(),
-                            engine_report.is_some(),
-                            "{label}: report presence"
-                        );
-                        if let (Some(a), Some(b)) = (&shim_report, &engine_report) {
-                            assert_reports_match(a, b, &label);
+                        assert_eq!(report.is_some(), telemetry, "{label}: report presence");
+                        if let Some(report) = &report {
+                            assert_reports_match(&want_report, report, &label);
                         }
-                        assert_eq!(
-                            shim.last_report().is_some(),
-                            engine.last_report().is_some(),
-                            "{label}: retained report"
-                        );
+                        assert_eq!(g.health(), Health::Healthy, "{label}: health");
                     }
                 }
             }
@@ -165,122 +144,88 @@ fn execute_matches_every_legacy_entrypoint_per_feature_combination() {
     }
 }
 
-/// A plan-driven guarded run fails exactly like the shim-driven one: same
-/// typed error, same failed health, and no stale retained report.
+/// A guarded pass over a NaN-emitting block fails with a typed error
+/// naming the block, in both modes, and leaves the graph `Failed` with no
+/// breaker activity.
 #[test]
-fn guard_failure_is_identical_via_shim_and_plan() {
-    for &streaming in &[false, true] {
-        let (mut shim, _, _) = build_faulty_chain(0.0, 1.0);
-        shim.guard_non_finite(true);
-        let shim_err = if streaming {
-            shim.run_streaming(64).unwrap_err()
-        } else {
-            shim.run().unwrap_err()
-        };
-
-        let mode = if streaming {
-            ExecMode::Streaming { chunk_len: 64 }
-        } else {
-            ExecMode::Batch
-        };
-        let (mut engine, _, _) = build_faulty_chain(0.0, 1.0);
-        let plan = ExecPlan::new(mode)
-            .guard_non_finite(true)
-            .with_telemetry(true);
-        let engine_err = engine.execute(&plan).unwrap_err();
-
+fn guard_failure_is_a_typed_error_in_both_modes() {
+    for plan in [ExecPlan::batch(), ExecPlan::streaming(64)] {
+        let label = format!("{:?}", plan.mode());
+        let (mut g, _, _) = build_faulty_chain(0.0, 1.0);
+        let err = g
+            .execute(&plan.guard_non_finite(true).with_telemetry(true))
+            .unwrap_err();
         assert_eq!(
-            format!("{shim_err}"),
-            format!("{engine_err}"),
-            "streaming={streaming}"
+            err.to_string(),
+            "block `fault(nan-injector)` emitted a non-finite sample at index 0",
+            "{label}"
         );
-        assert_eq!(shim.health(), engine.health(), "streaming={streaming}");
-        assert!(
-            engine.last_report().is_none(),
-            "failed run must not retain a report"
-        );
+        assert_eq!(g.health(), Health::Failed, "{label}");
+        assert_eq!(g.breaker_trips(), 0, "{label}");
+        assert_eq!(g.bypassed_invocations(), 0, "{label}");
     }
 }
 
-/// Breaker-degraded streaming runs agree block for block: same trips, same
-/// bypass counts, same degraded health, same pass-through output.
+/// A breaker-degraded streaming pass trips once, bypasses the failing
+/// block on every chunk, finishes `Degraded`, and its output is the clean
+/// pass-through.
 #[test]
-fn breaker_degradation_is_identical_via_shim_and_plan() {
-    let policy = BreakerPolicy::new().with_threshold(1);
-
-    let (mut shim, bad, pa) = build_faulty_chain(1.0, 0.0);
-    shim.set_breaker_policy(Some(policy));
-    let shim_report = shim.run_streaming_instrumented(128).expect("degrades");
-
-    let (mut engine, bad2, pa2) = build_faulty_chain(1.0, 0.0);
+fn breaker_degradation_bypasses_the_failing_block() {
     let plan = ExecPlan::streaming(128)
         .with_telemetry(true)
-        .with_breaker_policy(Some(policy));
-    let engine_report = engine
+        .with_breaker_policy(Some(BreakerPolicy::new().with_threshold(1)));
+    let (mut g, bad, pa) = build_faulty_chain(1.0, 0.0);
+    let report = g
         .execute(&plan)
         .expect("degrades")
-        .expect("telemetry requested");
+        .expect("telemetry was requested");
 
-    assert_eq!(shim_report.health, Health::Degraded);
-    assert_reports_match(&shim_report, &engine_report, "breaker degradation");
-    assert_eq!(shim.breaker_trips(), engine.breaker_trips());
-    assert_eq!(shim.bypassed_invocations(), engine.bypassed_invocations());
-    assert_eq!(shim.bypassed(bad), engine.bypassed(bad2));
+    // 2048 samples in 128-sample chunks: 16 chunks, each one bypassed.
+    assert_eq!(report.health, Health::Degraded);
+    assert_eq!(g.health(), Health::Degraded);
+    assert_eq!(report.breaker_trips, 1);
+    assert_eq!(g.breaker_trips(), 1);
+    assert_eq!(report.bypassed_invocations, 16);
+    assert_eq!(g.bypassed_invocations(), 16);
+    assert_eq!(g.bypassed(bad), Some(16));
     assert_eq!(
-        shim.breaker_state(bad).map(|s| s.is_open()),
-        engine.breaker_state(bad2).map(|s| s.is_open())
+        report.block("fault(nan-injector)").map(|b| b.bypassed),
+        Some(16)
     );
-    assert_eq!(shim.output(pa), engine.output(pa2), "pass-through output");
+    assert_eq!(g.breaker_state(bad).map(|s| s.is_open()), Some(true));
+
+    let mut clean = Graph::new();
+    let src = clean.add(ToneSource::new(1.0e6, 20.0e6, 2048));
+    let clean_pa = clean.add(SoftClipPa::new(1.0));
+    clean.chain(&[src, clean_pa]).expect("wires");
+    clean.execute(&ExecPlan::batch()).expect("clean pass");
+    assert_eq!(g.output(pa), clean.output(clean_pa), "pass-through output");
 }
 
-/// Supervision limits fire identically whether they come from the graph
-/// setters or from the plan: an exhausted deadline and a pre-cancelled
-/// token abort with the same typed errors.
+/// Supervision limits on the plan abort with typed errors: an exhausted
+/// deadline and a pre-cancelled token both stop the pass at its first
+/// block boundary and leave the graph `Failed`.
 #[test]
-fn deadline_and_cancellation_are_identical_via_shim_and_plan() {
-    // Deadline: a zero budget trips at the first supervision check.
-    let (mut shim, _, _) = build_chain(3);
-    shim.set_budget(Some(Duration::ZERO));
-    let shim_err = shim.run().unwrap_err();
-    let (mut engine, _, _) = build_chain(3);
-    let plan = ExecPlan::batch().with_budget(Some(Duration::ZERO));
-    let engine_err = engine.execute(&plan).unwrap_err();
-    // The rendered message embeds the elapsed wall time, so compare the
-    // typed failure, not the rendering.
+fn deadline_and_cancellation_abort_with_typed_errors() {
+    // Deadline: a zero budget trips at the first supervision check. The
+    // rendered message embeds the elapsed wall time, so match the type.
+    let (mut g, _, _) = build_chain(3);
+    let err = g
+        .execute(&ExecPlan::batch().with_budget(Some(Duration::ZERO)))
+        .unwrap_err();
     assert!(
-        matches!(&shim_err, SimError::DeadlineExceeded { .. })
-            && std::mem::discriminant(&shim_err) == std::mem::discriminant(&engine_err),
-        "deadline: shim {shim_err:?} vs engine {engine_err:?}"
+        matches!(&err, SimError::DeadlineExceeded { block, .. } if block == "tone-source"),
+        "deadline: {err:?}"
     );
+    assert_eq!(g.health(), Health::Failed);
 
     // Cancellation: an already-cancelled token aborts before any block.
     let token = CancelToken::new();
     token.cancel();
-    let (mut shim, _, _) = build_chain(3);
-    shim.set_cancel_token(Some(token.clone()));
-    let shim_err = shim.run_streaming(64).unwrap_err();
-    let (mut engine, _, _) = build_chain(3);
-    let plan = ExecPlan::streaming(64).with_cancel_token(Some(token));
-    let engine_err = engine.execute(&plan).unwrap_err();
-    assert_eq!(format!("{shim_err}"), format!("{engine_err}"), "cancel");
-}
-
-/// One `Executor` value drives many graphs with one plan — the paper's
-/// "same simulator engine, many IP configurations" shape.
-#[test]
-fn executor_reproduces_the_shim_sweep() {
-    let executor = Executor::new(ExecPlan::streaming(80).with_telemetry(true));
-    for seed in [1u64, 2, 3] {
-        let (mut shim, ch, _) = build_chain(seed);
-        let shim_report = shim.run_streaming_instrumented(80).expect("runs");
-
-        let (mut engine, ch2, _) = build_chain(seed);
-        let engine_report = executor
-            .run(&mut engine)
-            .expect("runs")
-            .expect("telemetry requested");
-
-        assert_eq!(shim.output(ch), engine.output(ch2), "seed {seed}");
-        assert_reports_match(&shim_report, &engine_report, &format!("seed {seed}"));
-    }
+    let (mut g, _, _) = build_chain(3);
+    let err = g
+        .execute(&ExecPlan::streaming(64).with_cancel_token(Some(token)))
+        .unwrap_err();
+    assert_eq!(err.to_string(), "run cancelled at block `tone-source`");
+    assert_eq!(g.health(), Health::Failed);
 }

@@ -31,7 +31,7 @@ fn ber_with_interferer(cir_db: f64) -> f64 {
     g.connect(desired, sum, 0).expect("wiring");
     g.connect(jammer, sum, 1).expect("wiring");
     g.connect(sum, noise, 0).expect("wiring");
-    g.run().expect("runs");
+    g.execute(&ExecPlan::batch()).expect("runs");
     let received = g.output(noise).expect("ran").clone();
 
     let mut rx = ReferenceReceiver::new(params).expect("valid");
@@ -75,7 +75,7 @@ fn interferer_energy_is_localized_in_frequency() {
     g.connect(desired, sum, 0).expect("wiring");
     g.connect(jammer, sum, 1).expect("wiring");
     g.connect(sum, sa, 0).expect("wiring");
-    g.run().expect("runs");
+    g.execute(&ExecPlan::batch()).expect("runs");
 
     let sa_ref = g.block::<SpectrumAnalyzer>(sa).expect("present");
     let spike = sa_ref.band_power(3.0e6, 3.4e6).expect("ran");

@@ -101,7 +101,10 @@ fn telemetry_confirms_behavioral_speedup_over_rtl() {
     let mut beh_nanos = u64::MAX;
     let mut beh_samples = 0u64;
     for _ in 0..3 {
-        let report = g.run_streaming_instrumented(256).expect("runs");
+        let report = g
+            .execute(&ExecPlan::streaming(256).with_telemetry(true))
+            .expect("runs")
+            .expect("telemetry was requested");
         let stats = report
             .blocks
             .iter()

@@ -3,13 +3,7 @@
 //! degraded mode with pass-through output, and the checkpoint/resume
 //! exactness guarantee for scenario sweeps.
 
-// The deprecated free-function runners stay under test until removed;
-// their SweepPlan equivalents are covered in exec_equivalence.rs and the
-// scenario module's unit tests.
-#![allow(deprecated)]
-
 use rfsim::prelude::*;
-use rfsim::scenario::{run_scenarios_checkpointed, run_scenarios_supervised};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -26,7 +20,7 @@ fn scenario_power(seed: u64, i: usize) -> Result<f64, SimError> {
     let pa = g.add(SoftClipPa::new(1.0));
     let meter = g.add(PowerMeter::new());
     g.chain(&[src, ch, pa, meter])?;
-    g.run()?;
+    g.execute(&ExecPlan::batch())?;
     Ok(g.block::<PowerMeter>(meter)
         .expect("meter")
         .power()
@@ -39,9 +33,9 @@ fn hung_streaming_graph_is_killed_by_its_deadline() {
     let src = g.add(StalledSource::new(1.0e6, Duration::from_millis(4)));
     let pa = g.add(SoftClipPa::new(1.0));
     g.chain(&[src, pa]).expect("wiring");
-    g.set_budget(Some(Duration::from_millis(25)));
+    let plan = ExecPlan::streaming(32).with_budget(Some(Duration::from_millis(25)));
     let started = Instant::now();
-    let err = g.run_streaming(32).expect_err("must not run forever");
+    let err = g.execute(&plan).expect_err("must not run forever");
     assert!(
         matches!(err, SimError::DeadlineExceeded { .. }),
         "got {err:?}"
@@ -67,23 +61,20 @@ fn watchdog_kills_hung_scenarios_and_sweep_completes() {
         .with_scenario_budget(Duration::from_millis(200))
         .with_poll_interval(Duration::from_millis(2));
     let started = Instant::now();
-    let (outcomes, report) = run_scenarios_supervised(
-        Scenarios::new(12).threads(4),
-        RetryPolicy::none(),
-        &supervisor,
-        |i, _attempt, ctx| -> Result<f64, SimError> {
+    let (outcomes, report) = SweepPlan::new(12)
+        .threads(4)
+        .with_supervisor(supervisor)
+        .run(|i, _attempt, ctx| -> Result<f64, SimError> {
             if i % 4 == 3 {
                 let mut g = Graph::new();
                 let src = g.add(StalledSource::new(1.0e6, Duration::from_millis(2)));
                 let pa = g.add(SoftClipPa::new(1.0));
                 g.chain(&[src, pa])?;
-                ctx.supervise(&mut g);
-                g.run_streaming(64)?;
+                g.execute(&ctx.supervise(ExecPlan::streaming(64)))?;
                 unreachable!("a stalled source never finishes a pass");
             }
             scenario_power(7, i)
-        },
-    );
+        });
     assert!(
         started.elapsed() < Duration::from_secs(30),
         "sweep must not stall on hung scenarios"
@@ -115,7 +106,7 @@ fn tripped_impairment_breaker_degrades_to_pass_through() {
     let pa = clean.add(SoftClipPa::new(1.0));
     clean.chain(&[src, pa]).expect("wiring");
     clean.probe(pa).expect("probe");
-    clean.run_streaming(64).expect("clean run");
+    clean.execute(&ExecPlan::streaming(64)).expect("clean run");
     let clean_out = clean.output(pa).expect("probed").clone();
 
     // Same chain with an always-erroring impairment in the middle.
@@ -129,8 +120,13 @@ fn tripped_impairment_breaker_degrades_to_pass_through() {
     let pa = g.add(SoftClipPa::new(1.0));
     g.chain(&[src, bad, pa]).expect("wiring");
     g.probe(pa).expect("probe");
-    g.set_breaker_policy(Some(BreakerPolicy::new().with_threshold(1)));
-    let report = g.run_streaming_instrumented(64).expect("degraded run");
+    let plan = ExecPlan::streaming(64)
+        .with_telemetry(true)
+        .with_breaker_policy(Some(BreakerPolicy::new().with_threshold(1)));
+    let report = g
+        .execute(&plan)
+        .expect("degraded run")
+        .expect("telemetry was requested");
 
     assert_eq!(report.health, Health::Degraded);
     assert_eq!(g.health(), Health::Degraded);
@@ -153,23 +149,26 @@ fn open_source_breaker_fails_fast_across_runs() {
     );
     let pa = g.add(SoftClipPa::new(1.0));
     g.chain(&[src, pa]).expect("wiring");
-    g.set_breaker_policy(Some(BreakerPolicy::new().with_threshold(2)));
+    let plan = ExecPlan::batch().with_breaker_policy(Some(BreakerPolicy::new().with_threshold(2)));
     // Two runs feed the breaker with the injector's own faults...
     for _ in 0..2 {
-        let err = g.run().expect_err("injector always faults");
+        let err = g.execute(&plan).expect_err("injector always faults");
         assert!(matches!(err, SimError::BlockFault { .. }), "got {err:?}");
     }
     // ...after which the open breaker rejects the run without invoking.
-    let err = g.run().expect_err("breaker is open");
+    let err = g.execute(&plan).expect_err("breaker is open");
     match err {
         SimError::BlockFault { fault, .. } => {
             assert!(fault.contains("circuit breaker open"), "{fault}")
         }
         other => panic!("expected breaker fail-fast, got {other:?}"),
     }
-    // reset() restores the breaker; the policy survives as configuration.
+    // reset() restores the breaker; the same plan reaches the injector
+    // again.
     g.reset();
-    let err = g.run().expect_err("injector still faults after reset");
+    let err = g
+        .execute(&plan)
+        .expect_err("injector still faults after reset");
     match err {
         SimError::BlockFault { fault, .. } => {
             assert!(fault.contains("injected"), "{fault}")
@@ -189,34 +188,24 @@ fn interrupted_sweep_resumes_exactly() {
     let _ = std::fs::remove_file(&path);
 
     // Reference: the uninterrupted sweep.
+    let plan = SweepPlan::new(COUNT).threads(4);
     let mut reference = SweepCheckpoint::load_or_new("/nonexistent/never-written", "ref", COUNT);
-    let (uninterrupted, _) = run_scenarios_checkpointed(
-        Scenarios::new(COUNT).threads(4),
-        RetryPolicy::none(),
-        &SweepSupervisor::new(),
-        &mut reference,
-        |i, _attempt, _ctx| scenario_power(SEED, i),
-    );
+    let (uninterrupted, _) =
+        plan.run_checkpointed(&mut reference, |i, _attempt, _ctx| scenario_power(SEED, i));
 
     // Interrupted run: the back half of the sweep fails this time around
     // (standing in for a killed process), so only the front half lands in
     // the checkpoint.
     let mut ckpt = SweepCheckpoint::load_or_new(&path, "resume-test", COUNT).with_batch(4);
-    let (_partial, partial_report) = run_scenarios_checkpointed(
-        Scenarios::new(COUNT).threads(4),
-        RetryPolicy::none(),
-        &SweepSupervisor::new(),
-        &mut ckpt,
-        |i, _attempt, _ctx| {
-            if i >= COUNT / 2 {
-                return Err(SimError::BlockFailure {
-                    block: "sweep".into(),
-                    message: "interrupted".into(),
-                });
-            }
-            scenario_power(SEED, i)
-        },
-    );
+    let (_partial, partial_report) = plan.run_checkpointed(&mut ckpt, |i, _attempt, _ctx| {
+        if i >= COUNT / 2 {
+            return Err(SimError::BlockFailure {
+                block: "sweep".into(),
+                message: "interrupted".into(),
+            });
+        }
+        scenario_power(SEED, i)
+    });
     assert_eq!(partial_report.faults.expect("present").faulted, COUNT / 2);
     drop(ckpt);
 
@@ -225,16 +214,10 @@ fn interrupted_sweep_resumes_exactly() {
     let reran = AtomicUsize::new(0);
     let mut ckpt = SweepCheckpoint::load_or_new(&path, "resume-test", COUNT);
     assert_eq!(ckpt.len(), COUNT / 2, "front half persisted");
-    let (resumed, resumed_report) = run_scenarios_checkpointed(
-        Scenarios::new(COUNT).threads(4),
-        RetryPolicy::none(),
-        &SweepSupervisor::new(),
-        &mut ckpt,
-        |i, _attempt, _ctx| {
-            reran.fetch_add(1, Ordering::Relaxed);
-            scenario_power(SEED, i)
-        },
-    );
+    let (resumed, resumed_report) = plan.run_checkpointed(&mut ckpt, |i, _attempt, _ctx| {
+        reran.fetch_add(1, Ordering::Relaxed);
+        scenario_power(SEED, i)
+    });
     assert_eq!(
         reran.load(Ordering::Relaxed),
         COUNT / 2,
@@ -269,8 +252,13 @@ fn run_report_json_carries_supervision_fields() {
             .wrap(5, SampleDropper::new(0.1, 5)),
     );
     g.chain(&[src, bad]).expect("wiring");
-    g.set_breaker_policy(Some(BreakerPolicy::new().with_threshold(1)));
-    let report = g.run_instrumented().expect("degraded run");
+    let plan = ExecPlan::batch()
+        .with_telemetry(true)
+        .with_breaker_policy(Some(BreakerPolicy::new().with_threshold(1)));
+    let report = g
+        .execute(&plan)
+        .expect("degraded run")
+        .expect("telemetry was requested");
     let doc = serde::json::parse(&report.to_json()).expect("valid JSON");
     use serde::json::Value;
     assert_eq!(doc.get("health").and_then(Value::as_str), Some("degraded"));
