@@ -29,13 +29,23 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
-echo "==> telemetry smoke: experiments --emit-bench / --check-bench"
-# A tiny instrumented sweep over all ten standards; --check-bench fails the
-# gate if the emitted JSON is missing any per-block or per-stage key, or
-# if the simd_speedup gate trips: any standard's batched kernel below 1x of the scalar polar path,
-# 802.11a or DVB-T below 5x, or the family geomean below 3x.
+echo "==> rfsim-bench tests: the benchmark's own use of the library"
+# rfsim-bench is a separate package (its own workspace and lock file), so
+# tier-1 never builds it; a library change that breaks its use of
+# run_waterfall, sibling_binary, StageNanos or FadingChannel::rayleigh
+# surfaces here instead of in the benchmark run.
+cargo test --manifest-path rfsim-bench/Cargo.toml
+
+echo "==> ratio smoke: experiments --emit-bench / --check-bench"
+# Emits the bench-ofdm/v2 BENCH_ofdm.json: the same-process C3 and SIMD
+# ratios plus the deterministic fault-sweep and supervision snapshots
+# (per-standard timings are rfsim-bench's job). --check-bench fails the
+# gate if any section is missing or malformed, if RTL/behavioral falls
+# below 1x (paper claim C3), or if the simd_speedup gate trips: any
+# standard's batched kernel below 1x of the scalar polar path, 802.11a or
+# DVB-T below 5x, or the family geomean below 3x.
 cargo run --release -q -p ofdm-bench --bin experiments -- \
-    --emit-bench BENCH_ofdm.json --bench-symbols 4
+    --emit-bench BENCH_ofdm.json
 
 echo "==> waterfall smoke: experiments --waterfall"
 # Fixed-seed BER-vs-SNR grid (2 standards x 4 SNR points) through the

@@ -18,11 +18,12 @@
 //! and `--check-lab FILE` validates an emitted document plus its verdict
 //! (the CI gate).
 //!
-//! Machine-readable telemetry (the C3 claim, decomposed per block and per
-//! transmitter stage):
+//! Machine-readable same-process ratios (the C3 claim and the SoA kernel
+//! speedups) plus the fault and supervision snapshots; per-standard
+//! timings are `rfsim-bench`'s job:
 //!
 //! ```text
-//! … --bin experiments -- --emit-bench BENCH_ofdm.json [--bench-symbols N]
+//! … --bin experiments -- --emit-bench BENCH_ofdm.json
 //! … --bin experiments -- --check-bench BENCH_ofdm.json
 //! ```
 //!
@@ -40,7 +41,7 @@ use ofdm_bench::lab::workloads::{e10_scenario_power, run_fault_sweep};
 use ofdm_bench::lab::{report, ExperimentSpec, LabOptions};
 use ofdm_bench::waterfall::{run_waterfall, waterfall_json, ChannelProfile, WaterfallSpec};
 use ofdm_bench::{gates, payload_bits, time_per_run};
-use ofdm_core::{MotherModel, StreamState};
+use ofdm_core::MotherModel;
 use ofdm_rtl::Tx80211aRtl;
 use ofdm_standards::ieee80211a::{self, WlanRate};
 use ofdm_standards::{default_params, StandardId};
@@ -80,7 +81,7 @@ fn usage() -> String {
     format!(
         "experiments: {}; flags: --spec FILE, --lab-dir DIR, --lab-out FILE, \
          --lab-checkpoint FILE, --check-lab FILE, --list, --emit-bench FILE, \
-         --check-bench FILE, --bench-symbols N, --waterfall FILE, --faults, --supervise",
+         --check-bench FILE, --waterfall FILE, --faults, --supervise",
         names.join(", ")
     )
 }
@@ -108,7 +109,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut lab_out: Option<String> = None;
     let mut lab_ckpt: Option<String> = None;
     let mut lab_dir_arg: Option<String> = None;
-    let mut bench_symbols = 50usize;
     let mut list = false;
     let mut names: Vec<String> = Vec::new();
     let mut spec_files: Vec<PathBuf> = Vec::new();
@@ -139,13 +139,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "--lab-checkpoint" => {
                 lab_ckpt = Some(it.next().ok_or("--lab-checkpoint needs a file path")?);
             }
-            "--bench-symbols" => {
-                bench_symbols = it
-                    .next()
-                    .ok_or("--bench-symbols needs a count")?
-                    .parse()
-                    .map_err(|e| format!("--bench-symbols: {e}"))?;
-            }
             "--list" => list = true,
             // The fault smoke sweep is experiment E9 under a flag name.
             "--faults" => names.push("e9".into()),
@@ -170,7 +163,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         return Ok(());
     }
     if let Some(path) = &emit_bench {
-        emit_bench_json(path, bench_symbols)?;
+        emit_bench_json(path)?;
     }
     if let Some(path) = &waterfall_out {
         emit_waterfall_json(path)?;
@@ -280,10 +273,10 @@ fn finite_ratio(num: f64, den: f64) -> f64 {
 }
 
 /// The structure-of-arrays payoff gate riding along in the trajectory
-/// file: per standard, the batched split-component Rapp kernel (the same
-/// PA the bench chain drives) timed against the retained per-sample polar
-/// path on that standard's own waveform, tiled to a fixed working-set
-/// size. `--check-bench` holds the speedups to the DESIGN §3.5 floors.
+/// file: per standard, the batched split-component Rapp kernel (at 8 dB
+/// input backoff) timed against the retained per-sample polar path on
+/// that standard's own waveform, tiled to a fixed working-set size.
+/// `--check-bench` holds the speedups to the DESIGN §3.5 floors.
 fn simd_speedup_snapshot() -> Result<Value, Box<dyn std::error::Error>> {
     use ofdm_dsp::Complex64;
     /// Working-set floor per standard — every measurement runs on at least
@@ -356,75 +349,17 @@ fn simd_speedup_snapshot() -> Result<Value, Box<dyn std::error::Error>> {
     ]))
 }
 
-/// The streaming telemetry chain used for `--emit-bench`: OFDM source →
-/// PA → power meter, the same shape E3 times.
-fn bench_chain(params: &ofdm_core::params::OfdmParams, bits: usize) -> Graph {
-    let mut g = Graph::new();
-    let src =
-        g.add(ofdm_core::source::OfdmSource::new(params.clone(), bits, 1).expect("valid preset"));
-    let pa = g.add(RappPa::new(1.0, 3.0).with_input_backoff_db(8.0));
-    let meter = g.add(PowerMeter::new());
-    g.chain(&[src, pa, meter]).expect("wires");
-    g
-}
+/// 802.11a data symbols in the payload both C3 transmitters run.
+const C3_SYMBOLS: usize = 4;
 
-/// `--emit-bench FILE` — writes `BENCH_ofdm.json`: per-block nanoseconds,
-/// throughput and transmitter stage split for every standard, plus the
-/// behavioral-vs-RTL ratio (the paper's C3 claim) and the instrumentation
-/// overhead ratio.
-fn emit_bench_json(path: &str, n_symbols: usize) -> Result<(), Box<dyn std::error::Error>> {
-    let n_symbols = n_symbols.max(1);
-    const CHUNK: usize = 256;
-    let plain = ExecPlan::streaming(CHUNK);
-    let instrumented = ExecPlan::streaming(CHUNK).with_telemetry(true);
-    let mut standards: Vec<(String, Value)> = Vec::new();
-    for id in StandardId::ALL {
-        let p = default_params(id);
-        let bits = n_symbols * p.nominal_bits_per_symbol().max(100);
-        let report = bench_chain(&p, bits)
-            .execute(&instrumented)?
-            .ok_or("telemetry was requested")?;
-        let per_block: Vec<(String, Value)> = report
-            .blocks
-            .iter()
-            .map(|b| (b.name.clone(), Value::from(b.nanos)))
-            .collect();
-
-        // The stage split (pilot/map/IFFT/CP) comes straight from the
-        // transmitter's own stream state, outside the graph.
-        let mut tx = MotherModel::new(p.clone())?;
-        let mut state = StreamState::new();
-        state.set_stage_timing(true);
-        let payload = payload_bits(bits, 1);
-        tx.begin_stream(&payload, &mut state)?;
-        let mut out = Vec::new();
-        while tx.stream_into(&mut state, CHUNK, &mut out) > 0 {}
-        let stages = state.stage_nanos();
-
-        standards.push((
-            id.key().to_string(),
-            Value::Object(vec![
-                ("total_ns".into(), report.total_nanos.into()),
-                ("samples".into(), report.source_samples().into()),
-                ("throughput_msps".into(), report.throughput_msps().into()),
-                ("per_block_ns".into(), Value::Object(per_block)),
-                (
-                    "stages_ns".into(),
-                    Value::Object(vec![
-                        ("pilot".into(), stages.pilot.into()),
-                        ("map".into(), stages.map.into()),
-                        ("ifft".into(), stages.ifft.into()),
-                        ("cp".into(), stages.cp.into()),
-                    ]),
-                ),
-            ]),
-        ));
-    }
-
+/// `--emit-bench FILE` — writes the `bench-ofdm/v2` `BENCH_ofdm.json`:
+/// the same-process behavioral-vs-RTL ratio (the paper's C3 claim) and
+/// SoA kernel speedups, plus the deterministic fault-sweep and
+/// supervision snapshots. Per-standard timings are `rfsim-bench`'s job.
+fn emit_bench_json(path: &str) -> Result<(), Box<dyn std::error::Error>> {
     // Behavioral vs RTL transmitter wall time (802.11a, as in E3).
     let rate = WlanRate::Mbps12;
-    let wlan_bits = n_symbols.max(4) * rate.n_cbps() / 2 - 6;
-    let payload = payload_bits(wlan_bits, 3);
+    let payload = payload_bits(C3_SYMBOLS * rate.n_cbps() / 2 - 6, 3);
     let mut beh = MotherModel::new(ieee80211a::params(rate))?;
     let t_beh = time_per_run(
         || {
@@ -439,23 +374,7 @@ fn emit_bench_json(path: &str, n_symbols: usize) -> Result<(), Box<dyn std::erro
         },
         3,
     );
-
-    // Instrumented vs uninstrumented streaming on the same chain.
-    let wlan = ieee80211a::params(rate);
-    let t_plain = time_per_run(
-        || {
-            bench_chain(&wlan, wlan_bits).execute(&plain).expect("runs");
-        },
-        3,
-    );
-    let t_inst = time_per_run(
-        || {
-            bench_chain(&wlan, wlan_bits)
-                .execute(&instrumented)
-                .expect("runs");
-        },
-        3,
-    );
+    let c3_ratio = finite_ratio(t_rtl, t_beh);
 
     // Fault-injection sweep outcome counts (the graceful-degradation gate
     // rides along in the trajectory file).
@@ -463,17 +382,8 @@ fn emit_bench_json(path: &str, n_symbols: usize) -> Result<(), Box<dyn std::erro
     let faults = fault_sweep.faults.expect("resilient sweep reports faults");
 
     let doc = Value::Object(vec![
-        ("schema".into(), "bench-ofdm/v1".into()),
-        ("symbols".into(), n_symbols.into()),
-        (
-            "behavioral_vs_rtl_ratio".into(),
-            finite_ratio(t_rtl, t_beh).into(),
-        ),
-        (
-            "instrumented_overhead_ratio".into(),
-            finite_ratio(t_inst, t_plain).into(),
-        ),
-        ("standards".into(), Value::Object(standards)),
+        ("schema".into(), "bench-ofdm/v2".into()),
+        ("behavioral_vs_rtl_ratio".into(), c3_ratio.into()),
         ("fault_sweep".into(), faults.to_json_value()),
         ("supervision".into(), supervision_snapshot()?),
         ("simd_speedup".into(), simd_speedup_snapshot()?),
@@ -485,13 +395,9 @@ fn emit_bench_json(path: &str, n_symbols: usize) -> Result<(), Box<dyn std::erro
         .unwrap_or(f64::NAN);
     std::fs::write(path, format!("{doc}\n"))?;
     println!(
-        "wrote {path}: {} standards, RTL/behavioral {:.1}x, instrumentation overhead {:.3}x, \
-         fault survival {:.0}%, SoA kernel geomean {:.1}x",
-        StandardId::ALL.len(),
-        finite_ratio(t_rtl, t_beh),
-        finite_ratio(t_inst, t_plain),
+        "wrote {path}: RTL/behavioral {c3_ratio:.1}x, fault survival {:.0}%, \
+         SoA kernel geomean {simd_geomean:.1}x",
         faults.survival_rate() * 100.0,
-        simd_geomean,
     );
     Ok(())
 }

@@ -1,7 +1,7 @@
 //! CI gate validators for the machine-readable bench documents.
 //!
 //! Each emitted JSON artifact has a schema-checking twin here:
-//! `BENCH_ofdm.json` (`bench-ofdm/v1`), `waterfall.json`
+//! `BENCH_ofdm.json` (`bench-ofdm/v2`), `waterfall.json`
 //! (`waterfall/v1`) and the experiment-lab report (`lab/v1`). The
 //! `check_*_doc` functions validate an in-memory [`Value`]; the
 //! `check_*_json` wrappers add file IO and prefix errors with the path.
@@ -25,170 +25,126 @@ fn finite(v: Option<f64>, what: &str) -> Result<f64, String> {
     Ok(v)
 }
 
-/// Validates a `bench-ofdm/v1` document: every required key present and
-/// well-typed for all ten standards, the optional fault/SIMD/supervision
-/// sections sound when present, and every gated ratio within its floor.
-/// This is the CI gate on the telemetry pipeline.
+/// Validates a `bench-ofdm/v2` document: the C3 ratio at or above the
+/// paper's floor, and the fault-sweep, SIMD and supervision sections all
+/// present, well-typed and within their floors. This is the CI gate on
+/// the same-process ratios.
 pub fn check_bench_doc(doc: &Value) -> Result<(), String> {
-    if doc.get("schema").and_then(Value::as_str) != Some("bench-ofdm/v1") {
-        return Err("missing or wrong `schema` (want \"bench-ofdm/v1\")".into());
+    if doc.get("schema").and_then(Value::as_str) != Some("bench-ofdm/v2") {
+        return Err("missing or wrong `schema` (want \"bench-ofdm/v2\")".into());
     }
-    for key in [
-        "symbols",
-        "behavioral_vs_rtl_ratio",
-        "instrumented_overhead_ratio",
+    // Paper claim C3: the behavioral model is cheaper to simulate than the
+    // RT-level one, so RTL/behavioral wall time must be at least 1.
+    let c3 = finite(
+        doc.get("behavioral_vs_rtl_ratio").and_then(Value::as_f64),
+        "`behavioral_vs_rtl_ratio`",
+    )?;
+    if c3 < 1.0 {
+        return Err(format!(
+            "`behavioral_vs_rtl_ratio` {c3:.2}x below the 1x C3 floor \
+             (RTL faster than behavioral)"
+        ));
+    }
+    let fs = doc.get("fault_sweep").ok_or("missing `fault_sweep`")?;
+    for field in [
+        "succeeded",
+        "retried",
+        "faulted",
+        "panics_caught",
+        "errors_caught",
     ] {
-        let v = doc
-            .get(key)
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("missing numeric `{key}`"))?;
-        if !v.is_finite() || v <= 0.0 {
-            return Err(format!("`{key}` must be finite and positive, got {v}"));
-        }
+        finite(
+            fs.get(field).and_then(Value::as_f64),
+            &format!("`fault_sweep`.`{field}`"),
+        )?;
     }
-    let standards = doc.get("standards").ok_or("missing `standards`")?;
-    // The shim serializes non-finite f64 as `null` (caught as a missing
-    // numeric), but a hand-edited or foreign file can still carry
-    // garbage — reject any non-finite number explicitly.
+    let rate = finite(
+        fs.get("survival_rate").and_then(Value::as_f64),
+        "`fault_sweep`.`survival_rate`",
+    )?;
+    if !(0.0..=1.0).contains(&rate) {
+        return Err(format!(
+            "`fault_sweep`.`survival_rate` must be in [0, 1], got {rate}"
+        ));
+    }
+    // The SoA payoff gate: every standard's batched kernel must at minimum
+    // not regress the scalar path, the two headline standards (802.11a and
+    // DVB-T) must clear 5x, and the family geomean 3x.
+    let simd = doc.get("simd_speedup").ok_or("missing `simd_speedup`")?;
+    let entries = simd
+        .get("standards")
+        .and_then(Value::as_object)
+        .ok_or("`simd_speedup` missing object `standards`")?;
+    if entries.len() != StandardId::ALL.len() {
+        return Err(format!(
+            "`simd_speedup`.`standards` has {} entries, want {}",
+            entries.len(),
+            StandardId::ALL.len()
+        ));
+    }
     for id in StandardId::ALL {
         let key = id.key();
-        let s = standards
-            .get(key)
-            .ok_or_else(|| format!("missing standard `{key}`"))?;
-        for field in ["total_ns", "samples", "throughput_msps"] {
+        let s = simd
+            .get("standards")
+            .and_then(|e| e.get(key))
+            .ok_or_else(|| format!("`simd_speedup` missing standard `{key}`"))?;
+        for field in ["samples", "scalar_ns", "batched_ns"] {
             finite(
                 s.get(field).and_then(Value::as_f64),
-                &format!("`{key}`.`{field}`"),
+                &format!("`simd_speedup`.`{key}`.`{field}`"),
             )?;
         }
-        let per_block = s
-            .get("per_block_ns")
-            .and_then(Value::as_object)
-            .ok_or_else(|| format!("`{key}` missing object `per_block_ns`"))?;
-        if per_block.is_empty() {
-            return Err(format!("`{key}`: `per_block_ns` is empty"));
-        }
-        for (block, ns) in per_block {
-            finite(ns.as_f64(), &format!("`{key}` block `{block}` ns"))?;
-        }
-        let stages = s
-            .get("stages_ns")
-            .ok_or_else(|| format!("`{key}` missing `stages_ns`"))?;
-        for stage in ["pilot", "map", "ifft", "cp"] {
-            finite(
-                stages.get(stage).and_then(Value::as_f64),
-                &format!("`{key}` stage `{stage}`"),
-            )?;
-        }
-    }
-    // The fault sweep is optional (older files predate it) but must be
-    // sound when present.
-    if let Some(fs) = doc.get("fault_sweep") {
-        for field in [
-            "succeeded",
-            "retried",
-            "faulted",
-            "panics_caught",
-            "errors_caught",
-        ] {
-            finite(
-                fs.get(field).and_then(Value::as_f64),
-                &format!("`fault_sweep`.`{field}`"),
-            )?;
-        }
-        let rate = finite(
-            fs.get("survival_rate").and_then(Value::as_f64),
-            "`fault_sweep`.`survival_rate`",
+        let speedup = finite(
+            s.get("speedup").and_then(Value::as_f64),
+            &format!("`simd_speedup`.`{key}`.`speedup`"),
         )?;
-        if !(0.0..=1.0).contains(&rate) {
+        if speedup < 1.0 {
             return Err(format!(
-                "`fault_sweep`.`survival_rate` must be in [0, 1], got {rate}"
+                "`simd_speedup`.`{key}`: batched kernel slower than the \
+                 scalar path ({speedup:.2}x, floor 1x)"
+            ));
+        }
+        let floor = match id {
+            StandardId::Ieee80211a | StandardId::DvbT => 5.0,
+            _ => 1.0,
+        };
+        if speedup < floor {
+            return Err(format!(
+                "`simd_speedup`.`{key}`: {speedup:.2}x below the {floor}x floor"
             ));
         }
     }
-    // The SoA payoff gate: optional in files predating the split-layout
-    // refactor; when present, every standard's batched kernel must at
-    // minimum not regress the scalar path, the two headline standards
-    // (802.11a and DVB-T) must clear 5x, and the family geomean 3x.
-    if let Some(simd) = doc.get("simd_speedup") {
-        let entries = simd
-            .get("standards")
-            .and_then(Value::as_object)
-            .ok_or("`simd_speedup` missing object `standards`")?;
-        if entries.len() != StandardId::ALL.len() {
-            return Err(format!(
-                "`simd_speedup`.`standards` has {} entries, want {}",
-                entries.len(),
-                StandardId::ALL.len()
-            ));
-        }
-        for id in StandardId::ALL {
-            let key = id.key();
-            let s = simd
-                .get("standards")
-                .and_then(|e| e.get(key))
-                .ok_or_else(|| format!("`simd_speedup` missing standard `{key}`"))?;
-            for field in ["samples", "scalar_ns", "batched_ns"] {
-                finite(
-                    s.get(field).and_then(Value::as_f64),
-                    &format!("`simd_speedup`.`{key}`.`{field}`"),
-                )?;
-            }
-            let speedup = finite(
-                s.get("speedup").and_then(Value::as_f64),
-                &format!("`simd_speedup`.`{key}`.`speedup`"),
-            )?;
-            if speedup < 1.0 {
-                return Err(format!(
-                    "`simd_speedup`.`{key}`: batched kernel slower than the \
-                     scalar path ({speedup:.2}x, floor 1x)"
-                ));
-            }
-            let floor = match id {
-                StandardId::Ieee80211a | StandardId::DvbT => 5.0,
-                _ => 1.0,
-            };
-            if speedup < floor {
-                return Err(format!(
-                    "`simd_speedup`.`{key}`: {speedup:.2}x below the {floor}x floor"
-                ));
-            }
-        }
-        let geomean = finite(
-            simd.get("geomean").and_then(Value::as_f64),
-            "`simd_speedup`.`geomean`",
+    let geomean = finite(
+        simd.get("geomean").and_then(Value::as_f64),
+        "`simd_speedup`.`geomean`",
+    )?;
+    if geomean < 3.0 {
+        return Err(format!(
+            "`simd_speedup`.`geomean` {geomean:.2}x below the 3x family floor"
+        ));
+    }
+    let sup = doc.get("supervision").ok_or("missing `supervision`")?;
+    let health = sup
+        .get("health")
+        .and_then(Value::as_str)
+        .ok_or("`supervision` missing string `health`")?;
+    if !["healthy", "degraded", "failed"].contains(&health) {
+        return Err(format!("`supervision`.`health` is `{health}`"));
+    }
+    for field in [
+        "breaker_trips",
+        "bypassed_invocations",
+        "deadline_kills",
+        "resumed",
+    ] {
+        let v = finite(
+            sup.get(field).and_then(Value::as_f64),
+            &format!("`supervision`.`{field}`"),
         )?;
-        if geomean < 3.0 {
+        if v < 0.0 {
             return Err(format!(
-                "`simd_speedup`.`geomean` {geomean:.2}x below the 3x family floor"
+                "`supervision`.`{field}` must be non-negative, got {v}"
             ));
-        }
-    }
-    // Same deal for the supervised-runtime gate: optional in older files,
-    // validated when present.
-    if let Some(sup) = doc.get("supervision") {
-        let health = sup
-            .get("health")
-            .and_then(Value::as_str)
-            .ok_or("`supervision` missing string `health`")?;
-        if !["healthy", "degraded", "failed"].contains(&health) {
-            return Err(format!("`supervision`.`health` is `{health}`"));
-        }
-        for field in [
-            "breaker_trips",
-            "bypassed_invocations",
-            "deadline_kills",
-            "resumed",
-        ] {
-            let v = finite(
-                sup.get(field).and_then(Value::as_f64),
-                &format!("`supervision`.`{field}`"),
-            )?;
-            if v < 0.0 {
-                return Err(format!(
-                    "`supervision`.`{field}` must be non-negative, got {v}"
-                ));
-            }
         }
     }
     Ok(())
@@ -206,7 +162,7 @@ pub fn check_bench_json(path: &str) -> Result<Vec<String>, String> {
     if sibling.exists() {
         messages.extend(check_waterfall_json(&sibling.to_string_lossy())?);
     }
-    messages.push(format!("{path}: ok ({} standards)", StandardId::ALL.len()));
+    messages.push(format!("{path}: ok (bench-ofdm/v2)"));
     Ok(messages)
 }
 
@@ -469,42 +425,67 @@ mod tests {
         Value::Object(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
     }
 
-    /// A minimal document that passes `check_bench_doc`: the three scalar
-    /// ratios plus every standard's timing block. Tests mutate one field
-    /// at a time and assert the validator names it.
-    fn valid_bench_doc() -> Value {
-        let standard = || {
-            obj(vec![
-                ("total_ns", Value::from(1.0e6)),
-                ("samples", Value::from(4096.0)),
-                ("throughput_msps", Value::from(12.5)),
-                ("per_block_ns", obj(vec![("tx", Value::from(9.0e5))])),
-                (
-                    "stages_ns",
-                    obj(vec![
-                        ("pilot", Value::from(1.0e4)),
-                        ("map", Value::from(2.0e4)),
-                        ("ifft", Value::from(6.0e5)),
-                        ("cp", Value::from(5.0e4)),
-                    ]),
-                ),
-            ])
-        };
+    fn simd_entry(speedup: f64) -> Value {
         obj(vec![
-            ("schema", Value::from("bench-ofdm/v1")),
-            ("symbols", Value::from(4.0)),
-            ("behavioral_vs_rtl_ratio", Value::from(0.02)),
-            ("instrumented_overhead_ratio", Value::from(1.01)),
+            ("samples", Value::from(4096.0)),
+            ("scalar_ns", Value::from(1.0e6)),
+            ("batched_ns", Value::from(1.0e6 / speedup)),
+            ("speedup", Value::from(speedup)),
+        ])
+    }
+
+    /// A minimal document that passes `check_bench_doc`: a C3 ratio in
+    /// the measured 4–5x band plus every required section. Tests mutate
+    /// one field at a time and assert the validator names it.
+    fn valid_bench_doc() -> Value {
+        obj(vec![
+            ("schema", Value::from("bench-ofdm/v2")),
+            ("behavioral_vs_rtl_ratio", Value::from(4.6)),
             (
-                "standards",
-                Value::Object(
-                    StandardId::ALL
-                        .iter()
-                        .map(|id| (id.key().to_string(), standard()))
-                        .collect(),
-                ),
+                "fault_sweep",
+                obj(vec![
+                    ("succeeded", Value::from(32.0)),
+                    ("retried", Value::from(16.0)),
+                    ("faulted", Value::from(16.0)),
+                    ("panics_caught", Value::from(16.0)),
+                    ("errors_caught", Value::from(32.0)),
+                    ("survival_rate", Value::from(0.75)),
+                ]),
+            ),
+            (
+                "supervision",
+                obj(vec![
+                    ("health", Value::from("degraded")),
+                    ("breaker_trips", Value::from(1.0)),
+                    ("bypassed_invocations", Value::from(7.0)),
+                    ("deadline_kills", Value::from(1.0)),
+                    ("resumed", Value::from(3.0)),
+                ]),
+            ),
+            (
+                "simd_speedup",
+                obj(vec![
+                    (
+                        "standards",
+                        Value::Object(
+                            StandardId::ALL
+                                .iter()
+                                .map(|id| (id.key().to_string(), simd_entry(6.0)))
+                                .collect(),
+                        ),
+                    ),
+                    ("geomean", Value::from(6.0)),
+                ]),
             ),
         ])
+    }
+
+    /// The valid document with top-level member `key` removed.
+    fn without(key: &str) -> Value {
+        let Value::Object(members) = valid_bench_doc() else {
+            unreachable!("the fixture is an object")
+        };
+        Value::Object(members.into_iter().filter(|(k, _)| k != key).collect())
     }
 
     /// Replaces `doc.<path>` (dot-separated member path) with `v`.
@@ -538,20 +519,26 @@ mod tests {
     #[test]
     fn bench_doc_rejects_missing_schema_and_keys() {
         let mut doc = valid_bench_doc();
-        set(&mut doc, "schema", Value::from("bench-ofdm/v2"));
+        set(&mut doc, "schema", Value::from("bench-ofdm/v1"));
         let err = check_bench_doc(&doc).expect_err("wrong schema");
         assert!(err.contains("schema"), "{err}");
 
-        let mut doc = valid_bench_doc();
-        set(&mut doc, "symbols", Value::Null);
-        let err = check_bench_doc(&doc).expect_err("missing key");
-        assert!(err.contains("symbols"), "{err}");
+        // v2 has no optional sections: each missing one is named.
+        for key in [
+            "behavioral_vs_rtl_ratio",
+            "fault_sweep",
+            "simd_speedup",
+            "supervision",
+        ] {
+            let err = check_bench_doc(&without(key)).expect_err(key);
+            assert!(err.contains(key), "{key}: {err}");
+        }
 
-        // A standard with no `stages_ns.ifft` names the standard and stage.
+        // A standard missing from the SIMD table is named.
         let mut doc = valid_bench_doc();
-        set(&mut doc, "standards.dab.stages_ns.ifft", Value::Null);
-        let err = check_bench_doc(&doc).expect_err("missing stage");
-        assert!(err.contains("dab") && err.contains("ifft"), "{err}");
+        set(&mut doc, "simd_speedup.standards.dab.speedup", Value::Null);
+        let err = check_bench_doc(&doc).expect_err("missing speedup");
+        assert!(err.contains("dab") && err.contains("speedup"), "{err}");
     }
 
     #[test]
@@ -559,69 +546,46 @@ mod tests {
         // The shim parses `null` where a non-finite f64 was serialized;
         // `Value::from(f64::NAN)` models a hand-built in-memory document.
         let mut doc = valid_bench_doc();
-        set(&mut doc, "standards.adsl.total_ns", Value::from(f64::NAN));
-        let err = check_bench_doc(&doc).expect_err("NaN total_ns");
+        set(
+            &mut doc,
+            "simd_speedup.standards.adsl.scalar_ns",
+            Value::from(f64::NAN),
+        );
+        let err = check_bench_doc(&doc).expect_err("NaN scalar_ns");
         assert!(err.contains("adsl"), "{err}");
 
         let mut doc = valid_bench_doc();
         set(
             &mut doc,
-            "standards.vdsl.per_block_ns.tx",
+            "behavioral_vs_rtl_ratio",
             Value::from(f64::INFINITY),
         );
-        let err = check_bench_doc(&doc).expect_err("inf block ns");
+        let err = check_bench_doc(&doc).expect_err("inf C3 ratio");
         assert!(err.contains("not finite"), "{err}");
     }
 
     #[test]
     fn bench_doc_rejects_out_of_range_ratios() {
         let mut doc = valid_bench_doc();
-        set(
-            &mut doc,
-            "fault_sweep",
-            obj(vec![
-                ("succeeded", Value::from(32.0)),
-                ("retried", Value::from(16.0)),
-                ("faulted", Value::from(16.0)),
-                ("panics_caught", Value::from(16.0)),
-                ("errors_caught", Value::from(32.0)),
-                ("survival_rate", Value::from(1.5)),
-            ]),
-        );
+        set(&mut doc, "fault_sweep.survival_rate", Value::from(1.5));
         let err = check_bench_doc(&doc).expect_err("survival_rate out of range");
         assert!(err.contains("survival_rate"), "{err}");
+
+        // C3: RTL exactly as fast as behavioral is the floor itself; RTL
+        // 50x faster than behavioral contradicts the claim.
+        let mut doc = valid_bench_doc();
+        set(&mut doc, "behavioral_vs_rtl_ratio", Value::from(1.0));
+        assert_eq!(check_bench_doc(&doc), Ok(()));
+        set(&mut doc, "behavioral_vs_rtl_ratio", Value::from(0.02));
+        let err = check_bench_doc(&doc).expect_err("C3 floor");
+        assert!(err.contains("C3 floor"), "{err}");
     }
 
     #[test]
     fn bench_doc_gates_simd_floors() {
-        let simd_entry = |speedup: f64| {
-            obj(vec![
-                ("samples", Value::from(4096.0)),
-                ("scalar_ns", Value::from(1.0e6)),
-                ("batched_ns", Value::from(1.0e6 / speedup)),
-                ("speedup", Value::from(speedup)),
-            ])
-        };
-        let mut doc = valid_bench_doc();
-        set(
-            &mut doc,
-            "simd_speedup",
-            obj(vec![
-                (
-                    "standards",
-                    Value::Object(
-                        StandardId::ALL
-                            .iter()
-                            .map(|id| (id.key().to_string(), simd_entry(6.0)))
-                            .collect(),
-                    ),
-                ),
-                ("geomean", Value::from(6.0)),
-            ]),
-        );
-        assert_eq!(check_bench_doc(&doc), Ok(()));
         // DVB-T below its 5x headline floor trips the gate even though it
         // clears the family-wide 1x floor.
+        let mut doc = valid_bench_doc();
         set(&mut doc, "simd_speedup.standards.dvb-t", simd_entry(2.0));
         let err = check_bench_doc(&doc).expect_err("headline floor");
         assert!(err.contains("5x floor"), "{err}");

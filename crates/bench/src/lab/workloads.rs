@@ -441,7 +441,7 @@ fn doppler_ber(cfg: &CellCfg) -> Result<Vec<Metric>, String> {
     let frame = tx.transmit(&sent).map_err(|e| e.to_string())?;
     let mut g = Graph::new();
     let src = g.add(SamplePlayback::new(frame.signal().clone()));
-    let fading = g.add(RayleighChannel::new(
+    let fading = g.add(FadingChannel::rayleigh(
         taps,
         doppler_hz,
         cfg.u64_or("fading_seed", 3)?,

@@ -1,5 +1,5 @@
-//! Shared workload generators and measurement helpers for the benchmark
-//! harness and the `experiments` binary.
+//! Shared workload generators and measurement helpers for the experiment
+//! lab and the `experiments` binary.
 
 pub mod gates;
 pub mod lab;

@@ -1,6 +1,6 @@
-//! Transmission-channel models: AWGN, static multipath, Rayleigh fading,
-//! tapped-delay-line Rayleigh/Rician fading, carrier frequency offset,
-//! oscillator phase noise and a DSL twisted-pair line.
+//! Transmission-channel models: AWGN, static multipath, tapped-delay-line
+//! Rayleigh/Rician fading, carrier frequency offset, oscillator phase noise
+//! and a DSL twisted-pair line.
 //!
 //! The paper's point C2 is that the digital TX, the RF parts *and the
 //! transmission channel* can be verified in one simulator — these blocks are
@@ -268,98 +268,6 @@ impl Block for MultipathChannel {
 
     fn reset(&mut self) {
         self.history.clear();
-    }
-}
-
-/// A time-varying Rayleigh fading channel: tapped delay line whose tap gains
-/// evolve with a Jakes Doppler spectrum (sum-of-sinusoids synthesis).
-#[derive(Debug, Clone)]
-pub struct RayleighChannel {
-    /// (delay in samples, average linear power) per path.
-    paths: Vec<(usize, f64)>,
-    doppler_hz: f64,
-    seed: u64,
-    /// Per path: oscillator parameters (amplitude-normalized).
-    oscillators: Vec<Vec<(f64, f64, f64)>>, // (freq scale cosθ, phase_i, phase_q)
-    t: u64,
-}
-
-impl RayleighChannel {
-    const N_OSC: usize = 16;
-
-    /// Creates a fading channel from a power-delay profile
-    /// `[(delay_samples, avg_power)]`, a maximum Doppler shift and a seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `paths` is empty or `doppler_hz` is negative.
-    pub fn new(paths: Vec<(usize, f64)>, doppler_hz: f64, seed: u64) -> Self {
-        assert!(!paths.is_empty(), "paths must be nonempty");
-        assert!(doppler_hz >= 0.0, "doppler must be nonnegative");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let oscillators = paths
-            .iter()
-            .map(|_| {
-                (0..Self::N_OSC)
-                    .map(|_| {
-                        let theta: f64 = rng.gen_range(0.0..TAU);
-                        (
-                            theta.cos(),
-                            rng.gen_range(0.0..TAU),
-                            rng.gen_range(0.0..TAU),
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
-        RayleighChannel {
-            paths,
-            doppler_hz,
-            seed,
-            oscillators,
-            t: 0,
-        }
-    }
-
-    /// The instantaneous complex gain of path `p` at absolute sample `t`.
-    fn gain(&self, p: usize, t: u64, sample_rate: f64) -> Complex64 {
-        let power = self.paths[p].1;
-        let norm = (power / Self::N_OSC as f64).sqrt();
-        let mut g = Complex64::ZERO;
-        for &(cos_theta, phi_i, phi_q) in &self.oscillators[p] {
-            let w = TAU * self.doppler_hz * cos_theta * t as f64 / sample_rate;
-            g += Complex64::new((w + phi_i).cos(), (w + phi_q).cos());
-        }
-        // Each quadrature sums N cosines of variance 1/2, so |g|² averages
-        // N·norm² = power with no further scaling.
-        g.scale(norm)
-    }
-}
-
-impl Block for RayleighChannel {
-    fn name(&self) -> &str {
-        "rayleigh-channel"
-    }
-
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        let x = inputs[0].samples();
-        let fs = inputs[0].sample_rate();
-        let mut y = vec![Complex64::ZERO; x.len()];
-        for (n, out) in y.iter_mut().enumerate() {
-            let t = self.t + n as u64;
-            for (p, &(delay, _)) in self.paths.iter().enumerate() {
-                if n >= delay {
-                    *out += self.gain(p, t, fs) * x[n - delay];
-                }
-            }
-        }
-        self.t += x.len() as u64;
-        Ok(Signal::new(y, fs))
-    }
-
-    fn reset(&mut self) {
-        self.t = 0;
-        *self = RayleighChannel::new(self.paths.clone(), self.doppler_hz, self.seed);
     }
 }
 
@@ -1196,17 +1104,8 @@ mod tests {
     }
 
     #[test]
-    fn rayleigh_average_power_matches_profile() {
-        // Single path of unit average power; check long-run mean.
-        let mut ch = RayleighChannel::new(vec![(0, 1.0)], 0.01, 7);
-        let out = ch.process(&[ones(200_000)]).unwrap();
-        let p = out.power();
-        assert!((p - 1.0).abs() < 0.3, "fading mean power {p}");
-    }
-
-    #[test]
     fn rayleigh_static_when_doppler_zero() {
-        let mut ch = RayleighChannel::new(vec![(0, 1.0)], 0.0, 5);
+        let mut ch = FadingChannel::rayleigh(vec![(0, 1.0)], 0.0, 5);
         let out = ch.process(&[ones(100)]).unwrap();
         let g0 = out.get(0);
         for z in out.iter() {
@@ -1216,20 +1115,11 @@ mod tests {
 
     #[test]
     fn rayleigh_varies_with_doppler() {
-        let mut ch = RayleighChannel::new(vec![(0, 1.0)], 0.05, 5);
+        let mut ch = FadingChannel::rayleigh(vec![(0, 1.0)], 0.05, 5);
         let out = ch.process(&[ones(1000)]).unwrap();
         let g0 = out.samples()[0];
         let g999 = out.samples()[999];
         assert!((g0 - g999).abs() > 1e-3, "channel must evolve");
-    }
-
-    #[test]
-    fn rayleigh_reset_reproduces() {
-        let mut ch = RayleighChannel::new(vec![(0, 0.5), (3, 0.5)], 0.02, 11);
-        let a = ch.process(&[ones(128)]).unwrap();
-        ch.reset();
-        let b = ch.process(&[ones(128)]).unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub mod prelude {
     pub use crate::block::{Block, SimError};
     pub use crate::channel::{
         AwgnChannel, CfoChannel, DslLineChannel, FadingChannel, FadingTap, ImpulsiveNoiseChannel,
-        MultipathChannel, PhaseNoiseChannel, RayleighChannel,
+        MultipathChannel, PhaseNoiseChannel,
     };
     pub use crate::exec::{ExecMode, ExecPlan};
     pub use crate::fault::{

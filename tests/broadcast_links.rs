@@ -59,7 +59,7 @@ fn dab_survives_slow_rayleigh_fading() {
 
     let mut g = Graph::new();
     let src = g.add(SamplePlayback::new(frame.signal().clone()));
-    let fading = g.add(RayleighChannel::new(vec![(0, 1.0)], 2.0, 3)); // 2 Hz Doppler
+    let fading = g.add(FadingChannel::rayleigh(vec![(0, 1.0)], 2.0, 3)); // 2 Hz Doppler
     let noise = g.add(AwgnChannel::from_snr_db(30.0, 9));
     g.chain(&[src, fading, noise]).expect("wiring");
     g.execute(&ExecPlan::batch()).expect("runs");
@@ -85,7 +85,7 @@ fn dab_fast_fading_degrades_gracefully() {
     let run = |doppler: f64| -> f64 {
         let mut g = Graph::new();
         let src = g.add(SamplePlayback::new(frame.signal().clone()));
-        let fading = g.add(RayleighChannel::new(vec![(0, 1.0)], doppler, 3));
+        let fading = g.add(FadingChannel::rayleigh(vec![(0, 1.0)], doppler, 3));
         let noise = g.add(AwgnChannel::from_snr_db(30.0, 9));
         g.chain(&[src, fading, noise]).expect("wiring");
         g.execute(&ExecPlan::batch()).expect("runs");
