@@ -49,11 +49,17 @@ cargo run --release -q -p ofdm-bench --bin experiments -- \
 
 echo "==> waterfall smoke: experiments --waterfall"
 # Fixed-seed BER-vs-SNR grid (2 standards x 4 SNR points) through the
-# checkpointed sweep path; the emitted waterfall.json is byte-stable (BER
-# tallies carry no timing) and is validated as a --check-bench sibling:
-# finite values, BER in [0, 1], and monotone-descending curves.
+# checkpointed sweep path. The document is byte-stable (BER tallies carry
+# no timing), so it is emitted to a temp dir and must match the tracked
+# waterfall.json exactly; the tracked file is then validated as a
+# --check-bench sibling: finite values, BER in [0, 1], and
+# monotone-descending curves.
+WF_DIR=$(mktemp -d)
+trap 'rm -rf "$WF_DIR"' EXIT
 cargo run --release -q -p ofdm-bench --bin experiments -- \
-    --waterfall waterfall.json
+    --waterfall "$WF_DIR/waterfall.json"
+cmp waterfall.json "$WF_DIR/waterfall.json" \
+    || { echo "waterfall smoke: BER tallies differ from the tracked waterfall.json" >&2; exit 1; }
 
 cargo run --release -q -p ofdm-bench --bin experiments -- \
     --check-bench BENCH_ofdm.json
@@ -65,7 +71,7 @@ echo "==> lab smoke: experiments --spec examples/lab/smoke.json"
 # smokes live on as lab specs (e9_faults, e10_*) exercised by the same
 # engine; the spec-file library itself is covered by `cargo test`.
 LAB_DIR=$(mktemp -d)
-trap 'rm -rf "$LAB_DIR"' EXIT
+trap 'rm -rf "$WF_DIR" "$LAB_DIR"' EXIT
 cargo run --release -q -p ofdm-bench --bin experiments -- \
     --spec examples/lab/smoke.json --lab-out "$LAB_DIR/lab_smoke.json"
 cargo run --release -q -p ofdm-bench --bin experiments -- \
@@ -98,7 +104,7 @@ echo "==> service smoke: rfsim-server / rfsim-cli round trip"
 # against an in-process run (--compare-local). A clean shutdown must
 # leave no orphan server process.
 SMOKE_DIR=$(mktemp -d)
-trap 'rm -rf "$SMOKE_DIR" "$LAB_DIR"' EXIT
+trap 'rm -rf "$WF_DIR" "$SMOKE_DIR" "$LAB_DIR"' EXIT
 cargo build --release -q --bin rfsim-server --bin rfsim-cli
 boot_server "$SMOKE_DIR/port" \
     || { echo "service smoke: server never bound" >&2; exit 1; }

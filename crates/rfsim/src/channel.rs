@@ -316,6 +316,9 @@ pub struct FadingChannel {
     oscillators: Vec<Vec<(f64, f64, f64)>>,
     /// Per tap: line-of-sight ray phase (drawn once from the seed).
     los_phase: Vec<f64>,
+    /// Per tap: the gain at zero Doppler, where it does not depend on
+    /// time; `None` when the taps move.
+    frozen: Option<Vec<Complex64>>,
     /// Absolute sample index of the next input sample.
     t: u64,
     /// Split delay-line history: the last `max_delay` input samples of the
@@ -342,7 +345,7 @@ impl FadingChannel {
             assert!(tap.k_factor >= 0.0, "K-factor must be nonnegative");
         }
         let mut rng = StdRng::seed_from_u64(seed);
-        let oscillators = taps
+        let oscillators: Vec<Vec<(f64, f64, f64)>> = taps
             .iter()
             .map(|_| {
                 (0..Self::N_OSC)
@@ -357,13 +360,22 @@ impl FadingChannel {
                     .collect()
             })
             .collect();
-        let los_phase = taps.iter().map(|_| rng.gen_range(0.0..TAU)).collect();
+        let los_phase: Vec<f64> = taps.iter().map(|_| rng.gen_range(0.0..TAU)).collect();
+        // At zero Doppler every oscillator's phase ramp `w` is ±0.0 for any
+        // finite t and positive sample rate, and `±0.0 + φ == φ` exactly,
+        // so the t = 0 gain is bit-identical to the gain at every sample.
+        let frozen = (doppler_hz == 0.0).then(|| {
+            (0..taps.len())
+                .map(|p| Self::tap_gain(&taps[p], &oscillators[p], los_phase[p], 0.0, 0, 1.0))
+                .collect()
+        });
         FadingChannel {
             taps,
             doppler_hz,
             seed,
             oscillators,
             los_phase,
+            frozen,
             t: 0,
             hist_re: Vec::new(),
             hist_im: Vec::new(),
@@ -428,8 +440,13 @@ impl FadingChannel {
     ///
     /// A sweep runner with quasi-static fading (zero Doppler) uses this —
     /// together with [`FadingChannel::freq_response_at`] — to hand the
-    /// receiver perfect channel state information.
+    /// receiver perfect channel state information. At zero Doppler it
+    /// returns the gain frozen at construction, whatever `t` and
+    /// `sample_rate` are.
     pub fn gain_at(&self, p: usize, t: u64, sample_rate: f64) -> Complex64 {
+        if let Some(gains) = &self.frozen {
+            return gains[p];
+        }
         Self::tap_gain(
             &self.taps[p],
             &self.oscillators[p],
@@ -571,10 +588,14 @@ impl Block for FadingChannel {
         let taps = &self.taps;
         let oscillators = &self.oscillators;
         let los_phase = &self.los_phase;
+        let frozen = &self.frozen;
         let doppler_hz = self.doppler_hz;
         Self::apply(
             taps,
-            |p, t| Self::tap_gain(&taps[p], &oscillators[p], los_phase[p], doppler_hz, t, fs),
+            |p, t| match frozen {
+                Some(gains) => gains[p],
+                None => Self::tap_gain(&taps[p], &oscillators[p], los_phase[p], doppler_hz, t, fs),
+            },
             self.t,
             x_re,
             x_im,
@@ -1218,13 +1239,77 @@ mod tests {
 
     #[test]
     fn fading_chunked_matches_batch() {
+        // Moving taps, and frozen zero-Doppler taps.
         let sig = wave(263, 1.0e6);
-        let mut batch = FadingChannel::rayleigh(vec![(0, 0.7), (3, 0.2), (9, 0.1)], 120.0, 11);
-        let want = batch.process(std::slice::from_ref(&sig)).unwrap();
-        for chunk_len in [1usize, 2, 7, 64, 1000] {
-            let mut ch = FadingChannel::rayleigh(vec![(0, 0.7), (3, 0.2), (9, 0.1)], 120.0, 11);
-            let got = run_chunked(&mut ch, &sig, chunk_len);
-            assert_eq!(got, want, "chunk_len {chunk_len}");
+        let paths = vec![(0, 0.7), (3, 0.2), (9, 0.1)];
+        for doppler in [120.0, 0.0] {
+            let mut batch = FadingChannel::rayleigh(paths.clone(), doppler, 11);
+            let want = batch.process(std::slice::from_ref(&sig)).unwrap();
+            for chunk_len in [1usize, 2, 7, 64, 1000] {
+                let mut ch = FadingChannel::rayleigh(paths.clone(), doppler, 11);
+                let got = run_chunked(&mut ch, &sig, chunk_len);
+                assert_eq!(got, want, "doppler {doppler} chunk_len {chunk_len}");
+            }
+        }
+    }
+
+    fn bits(z: Complex64) -> (u64, u64) {
+        (z.re.to_bits(), z.im.to_bits())
+    }
+
+    #[test]
+    fn zero_doppler_gains_are_frozen_bit_for_bit() {
+        let profiles = [
+            FadingChannel::rayleigh(vec![(0, 0.6), (3, 0.3), (7, 0.1)], 0.0, 21),
+            FadingChannel::rician(vec![(0, 0.8), (2, 0.2)], 4.0, 0.0, 21),
+        ];
+        for ch in &profiles {
+            for p in 0..ch.taps().len() {
+                let frozen = ch.gain_at(p, 0, 1.0);
+                for t in [0u64, 1, 1_000_000, 1 << 40] {
+                    for fs in [1.0, 20e6] {
+                        // The per-sample formula the frozen gain stands in for.
+                        let per_sample = FadingChannel::tap_gain(
+                            &ch.taps[p],
+                            &ch.oscillators[p],
+                            ch.los_phase[p],
+                            0.0,
+                            t,
+                            fs,
+                        );
+                        assert_eq!(bits(per_sample), bits(frozen), "tap {p} t {t} fs {fs}");
+                        assert_eq!(bits(ch.gain_at(p, t, fs)), bits(frozen));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn doppler_output_is_the_per_sample_gain_convolution() {
+        let fs = 1.0e6;
+        let sig = wave(300, fs);
+        let mut ch = FadingChannel::rician(vec![(0, 0.7), (3, 0.2), (9, 0.1)], 2.0, 50.0, 13);
+        let got = ch.process(std::slice::from_ref(&sig)).unwrap();
+        assert_ne!(
+            ch.gain_at(0, 0, fs),
+            ch.gain_at(0, 299, fs),
+            "the taps move"
+        );
+        let x = sig.samples();
+        for (n, y) in got.iter().enumerate() {
+            let (mut re, mut im) = (0.0, 0.0);
+            for (p, tap) in ch.taps().iter().enumerate() {
+                let g = ch.gain_at(p, n as u64, fs);
+                let s = if n >= tap.delay {
+                    x[n - tap.delay]
+                } else {
+                    Complex64::ZERO
+                };
+                re += g.re * s.re - g.im * s.im;
+                im += g.re * s.im + g.im * s.re;
+            }
+            assert_eq!(bits(y), bits(Complex64::new(re, im)), "sample {n}");
         }
     }
 

@@ -26,15 +26,22 @@ impl ChannelEstimate {
     /// each known cell. Reference cells with (near-)zero magnitude are
     /// skipped.
     pub fn from_reference(received: &[(i32, Complex64)], reference: &[(i32, Complex64)]) -> Self {
-        let ref_map: BTreeMap<i32, Complex64> = reference.iter().copied().collect();
-        let mut gains = BTreeMap::new();
-        for &(k, r) in received {
-            if let Some(&x) = ref_map.get(&k) {
-                if x.abs() > 1e-12 {
-                    gains.insert(k, r * x.inv());
-                }
-            }
-        }
+        // Reference cells sorted by carrier; reversing first makes the
+        // stable sort put a repeated carrier's last cell first, which is
+        // the one the dedup keeps.
+        let mut cells = reference.to_vec();
+        cells.reverse();
+        cells.sort_by_key(|&(k, _)| k);
+        cells.dedup_by_key(|&mut (k, _)| k);
+        // Collected in one bulk build; a repeated carrier keeps its last
+        // estimate, as repeated inserts would.
+        let gains = received
+            .iter()
+            .filter_map(|&(k, r)| {
+                let x = cells[cells.binary_search_by_key(&k, |&(k, _)| k).ok()?].1;
+                (x.abs() > 1e-12).then(|| (k, r * x.inv()))
+            })
+            .collect();
         ChannelEstimate { gains }
     }
 
@@ -165,6 +172,18 @@ mod tests {
         assert_eq!(est.len(), 2);
         assert!((est.gain_at(1) - h).abs() < 1e-12);
         assert!((est.gain_at(5) - h).abs() < 1e-12);
+    }
+
+    #[test]
+    fn unsorted_and_repeated_cells_keep_the_last() {
+        // A repeated carrier uses its last reference cell and its last
+        // received cell, whatever the order; unmatched carriers are dropped.
+        let reference = cells(&[(7, 1.0, 0.0), (2, 4.0, 0.0), (7, 2.0, 0.0), (2, 0.5, 0.0)]);
+        let received = cells(&[(2, 1.0, 0.0), (9, 1.0, 0.0), (7, 6.0, 0.0), (2, 3.0, 0.0)]);
+        let est = ChannelEstimate::from_reference(&received, &reference);
+        assert_eq!(est.len(), 2);
+        assert_eq!(est.gain_at(2), Complex64::new(6.0, 0.0));
+        assert_eq!(est.gain_at(7), Complex64::new(3.0, 0.0));
     }
 
     #[test]
