@@ -142,7 +142,14 @@ ADDR=$(cat "$SMOKE_DIR/kill_port")
 ./target/release/rfsim-cli submit examples/jobs/chaos_waterfall.json \
     --addr "$ADDR" --out "$SMOKE_DIR/doomed.json" &
 CLI_PID=$!
-sleep 2
+# The server persists the checkpoint every 8 points via tmp + rename, so
+# the file only ever appears whole: once it exists, at least 8 of the
+# grid's 768 points are on disk, whatever the host speed. Poll for it
+# (every 0.05 s, up to 60 s) instead of racing a fixed sleep.
+for _ in $(seq 1 1200); do
+    compgen -G "$CKPT_DIR/wf-*.json" > /dev/null && break
+    sleep 0.05
+done
 kill -9 "$KILL_SERVER_PID"
 if wait "$CLI_PID"; then
     echo "crash smoke: the grid finished before the kill; grow chaos_waterfall.json" >&2

@@ -242,6 +242,10 @@ fn accept_loop(
                 let Ok(server) = TcpStream::connect(upstream) else {
                     continue; // upstream down: drop the client on the floor
                 };
+                // The proxy forwards whole frames; on either leg, Nagle
+                // would hold each one for the peer's delayed ACK.
+                let _ = client.set_nodelay(true);
+                let _ = server.set_nodelay(true);
                 let conn = inner.connections.fetch_add(1, Ordering::SeqCst);
                 {
                     let mut socks = inner.socks.lock().unwrap_or_else(PoisonError::into_inner);
@@ -305,12 +309,13 @@ fn pump(
             inner.reset.fetch_add(1, Ordering::SeqCst);
             break;
         }
-        let len = payload.len() as u32; // read_frame already enforced MAX_FRAME
+        // read_frame already enforced MAX_FRAME, so this cannot fail.
+        let Ok(frame) = wire::encode_frame(&payload) else {
+            break;
+        };
         if roll_tear < cfg.tear_rate && inner.take_fault() {
             inner.torn.fetch_add(1, Ordering::SeqCst);
-            let cut = payload.len() / 2;
-            let _ = dst.write_all(&len.to_be_bytes());
-            let _ = dst.write_all(&payload[..cut]);
+            let _ = dst.write_all(&frame[..4 + payload.len() / 2]);
             let _ = dst.flush();
             break;
         }
@@ -320,12 +325,9 @@ fn pump(
         }
         let forwarded = if roll_shred < cfg.shred_rate && inner.take_fault() {
             inner.shredded.fetch_add(1, Ordering::SeqCst);
-            shred(&mut dst, &len.to_be_bytes(), &payload)
+            shred(&mut dst, &frame)
         } else {
-            dst.write_all(&len.to_be_bytes())
-                .and_then(|()| dst.write_all(&payload))
-                .and_then(|()| dst.flush())
-                .is_ok()
+            dst.write_all(&frame).and_then(|()| dst.flush()).is_ok()
         };
         if !forwarded {
             break;
@@ -335,9 +337,9 @@ fn pump(
     let _ = dst.shutdown(Shutdown::Both);
 }
 
-/// Writes header + payload one byte at a time, flushing after each byte.
-fn shred(dst: &mut TcpStream, header: &[u8], payload: &[u8]) -> bool {
-    for &b in header.iter().chain(payload) {
+/// Writes a frame one byte at a time, flushing after each byte.
+fn shred(dst: &mut TcpStream, frame: &[u8]) -> bool {
+    for &b in frame {
         if dst.write_all(&[b]).and_then(|()| dst.flush()).is_err() {
             return false;
         }
@@ -391,6 +393,22 @@ mod tests {
         assert_eq!(stats.connections, 3);
         assert_eq!(stats.faults(), 0, "no faults configured, none injected");
         assert!(stats.frames >= 6, "both directions counted: {stats:?}");
+    }
+
+    #[test]
+    fn both_proxy_legs_are_no_delay() {
+        let (upstream, _server) = echo_server();
+        let proxy =
+            ChaosProxy::start(&upstream.to_string(), ChaosConfig::default()).expect("start");
+        assert_eq!(roundtrip(proxy.addr(), b"ping").expect("echo"), b"ping");
+        {
+            let socks = proxy.inner.socks.lock().expect("socks");
+            assert_eq!(socks.len(), 2, "client leg and upstream leg");
+            for sock in socks.iter() {
+                assert!(sock.nodelay().expect("nodelay"), "{sock:?}");
+            }
+        }
+        proxy.stop();
     }
 
     #[test]

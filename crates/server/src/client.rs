@@ -111,6 +111,7 @@ impl Client {
     /// not `Welcome`.
     pub fn connect(addr: &str, name: &str) -> Result<Client, WireError> {
         let mut stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         wire::send(
             &mut stream,
             &ClientMsg::Hello {
@@ -535,6 +536,24 @@ mod tests {
         };
         let c: Vec<u64> = (0..8).map(|n| other.delay_ms(n)).collect();
         assert_ne!(a, c, "different seeds jitter differently");
+    }
+
+    #[test]
+    fn connected_socket_is_no_delay() {
+        let server = crate::Server::bind(
+            "127.0.0.1:0",
+            crate::ServerConfig {
+                workers: 1,
+                ..crate::ServerConfig::default()
+            },
+        )
+        .expect("bind");
+        let addr = server.local_addr().expect("addr").to_string();
+        let handle = std::thread::spawn(move || server.run());
+        let client = Client::connect(&addr, "nodelay").expect("connect");
+        assert!(client.stream.nodelay().expect("nodelay"));
+        client.shutdown_server().expect("shutdown");
+        handle.join().expect("server thread").expect("clean");
     }
 
     #[test]

@@ -44,7 +44,7 @@ use rfsim::{
 };
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -316,6 +316,10 @@ struct Shared {
     active_labels: Mutex<HashSet<String>>,
     /// Session-liveness reaper, swept periodically when leases are on.
     reaper: LeaseReaper,
+    /// Where a throwaway connect wakes the accept loop out of its
+    /// blocking `accept()` (the listener's address, loopback for an
+    /// unspecified IP); `None` when there is no listener.
+    wake: Option<SocketAddr>,
 }
 
 impl Shared {
@@ -334,6 +338,7 @@ impl Shared {
             draining: AtomicBool::new(false),
             active_labels: Mutex::new(HashSet::new()),
             reaper: LeaseReaper::new(),
+            wake: None,
         }
     }
 
@@ -401,6 +406,18 @@ impl Shared {
             write_msg(&writer, &msg);
         }
         self.work_ready.notify_all();
+        if self.drained() {
+            self.wake_acceptor();
+        }
+    }
+
+    /// Unblocks [`Server::run`]'s `accept()` with a connection it drops
+    /// after re-checking shutdown and drain. Call after every change that
+    /// may end the server, so no such change waits for a real client.
+    fn wake_acceptor(&self) {
+        if let Some(addr) = self.wake {
+            let _ = TcpStream::connect(addr);
+        }
     }
 
     /// True once a drain was requested and no session holds unfinished
@@ -755,6 +772,9 @@ impl Shared {
         drop(state);
         self.lock_labels().remove(&job.label);
         self.work_ready.notify_all();
+        if self.drained() {
+            self.wake_acceptor();
+        }
     }
 
     /// Cancels one of a session's jobs by id.
@@ -829,8 +849,8 @@ impl Shared {
 
 /// A bound simulation server. [`Server::bind`] starts the worker pool;
 /// [`Server::run`] serves connections until a client sends `Shutdown`
-/// (or [`Server::shutdown_token`] is cancelled), then joins every thread
-/// — no orphan threads or sockets survive a clean return.
+/// (or a drain retires its last job), then joins every thread — no
+/// orphan threads or sockets survive a clean return.
 pub struct Server {
     listener: TcpListener,
     shared: Arc<Shared>,
@@ -856,13 +876,23 @@ impl Server {
             recovery = recovery_scan(dir);
         }
         let listener = TcpListener::bind(addr)?;
+        let mut wake = listener.local_addr()?;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let workers = if config.workers == 0 {
             std::thread::available_parallelism().map_or(2, usize::from)
         } else {
             config.workers
         };
         let lease_ms = config.lease_ms;
-        let shared = Arc::new(Shared::new(config));
+        let shared = Arc::new(Shared {
+            wake: Some(wake),
+            ..Shared::new(config)
+        });
         let workers = (0..workers)
             .map(|_| {
                 let shared = Arc::clone(&shared);
@@ -905,12 +935,6 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// The root cancellation scope. Cancelling it (from any thread)
-    /// makes [`Server::run`] wind down as if a client sent `Shutdown`.
-    pub fn shutdown_token(&self) -> CancelToken {
-        self.shared.shutdown.clone()
-    }
-
     /// Accepts and serves connections until shutdown, then joins every
     /// session and worker thread.
     ///
@@ -918,7 +942,6 @@ impl Server {
     ///
     /// Socket errors from the accept loop.
     pub fn run(self) -> std::io::Result<()> {
-        self.listener.set_nonblocking(true)?;
         let mut readers: Vec<std::thread::JoinHandle<()>> = Vec::new();
         while !self.shared.shutdown.is_cancelled() {
             if self.shared.drained() {
@@ -928,25 +951,29 @@ impl Server {
                 self.shared.shutdown.cancel();
                 break;
             }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    stream.set_nonblocking(false)?;
-                    if let Ok(clone) = stream.try_clone() {
-                        self.shared
-                            .conns
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .push(clone);
-                    }
-                    let shared = Arc::clone(&self.shared);
-                    readers.push(std::thread::spawn(move || session_main(&shared, stream)));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            // Blocks until a client connects or `Shared::wake_acceptor`
+            // does; either way the loop-top checks run before a session.
+            let stream = match self.listener.accept() {
+                Ok((stream, _peer)) => stream,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
+            };
+            if self.shared.shutdown.is_cancelled() || self.shared.drained() {
+                continue;
             }
+            // Frames are written whole (`wire::write_frame`), so Nagle
+            // would only add the peer's delayed-ACK wait to each reply.
+            // Best effort: without the option the session is just slower.
+            let _ = stream.set_nodelay(true);
+            if let Ok(clone) = stream.try_clone() {
+                self.shared
+                    .conns
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push(clone);
+            }
+            let shared = Arc::clone(&self.shared);
+            readers.push(std::thread::spawn(move || session_main(&shared, stream)));
         }
         // Unblock every session reader, then join the house down.
         for conn in self
@@ -1023,6 +1050,7 @@ fn session_main(shared: &Arc<Shared>, stream: TcpStream) {
             Ok(wire::ClientMsg::Bye) => break,
             Ok(wire::ClientMsg::Shutdown) => {
                 shared.shutdown.cancel();
+                shared.wake_acceptor();
                 break;
             }
             Ok(wire::ClientMsg::Hello { .. }) => {
@@ -1457,5 +1485,41 @@ mod tests {
             shared.lock_labels().is_empty(),
             "reaped session's labels are reclaimed"
         );
+    }
+
+    #[test]
+    fn accepted_sockets_are_no_delay_and_shutdown_wakes_the_accept() {
+        // An unspecified bind address still yields a connectable wake-up.
+        let server = Server::bind(
+            "0.0.0.0:0",
+            ServerConfig {
+                workers: 1,
+                ..ServerConfig::default()
+            },
+        )
+        .expect("bind");
+        let port = server.local_addr().expect("addr").port();
+        let wake = server.shared.wake.expect("a listener has a wake address");
+        assert_eq!(wake, SocketAddr::from((Ipv4Addr::LOCALHOST, port)));
+        let shared = Arc::clone(&server.shared);
+        let handle = std::thread::spawn(move || server.run());
+
+        let client = crate::Client::connect(&wake.to_string(), "nodelay").expect("connect");
+        {
+            // Welcome arrived, so the session's socket is registered.
+            let conns = shared.conns.lock().expect("conns");
+            assert_eq!(conns.len(), 1);
+            assert!(conns[0].nodelay().expect("nodelay"));
+        }
+        client.shutdown_server().expect("shutdown");
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !handle.is_finished() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "run() stayed asleep in accept() after shutdown"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        handle.join().expect("server thread").expect("clean");
     }
 }

@@ -76,13 +76,13 @@ impl From<std::io::Error> for WireError {
     }
 }
 
-/// Writes one frame: 4-byte big-endian length, then the payload.
+/// Encodes one frame into a single buffer: 4-byte big-endian length,
+/// then the payload.
 ///
 /// # Errors
 ///
-/// [`WireError::Oversized`] if the payload exceeds [`MAX_FRAME`];
-/// otherwise socket errors.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> {
+/// [`WireError::Oversized`] if the payload exceeds [`MAX_FRAME`].
+pub(crate) fn encode_frame(payload: &[u8]) -> Result<Vec<u8>, WireError> {
     let len = u32::try_from(payload.len()).map_err(|_| WireError::Oversized {
         len: u32::MAX,
         cap: MAX_FRAME,
@@ -93,8 +93,23 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> 
             cap: MAX_FRAME,
         });
     }
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload);
+    Ok(frame)
+}
+
+/// Writes one frame: 4-byte big-endian length, then the payload, in a
+/// single `write_all`. Writing prefix and payload separately would hand
+/// the kernel two small segments per frame, and on a socket without
+/// `TCP_NODELAY` the second waits out the peer's delayed ACK.
+///
+/// # Errors
+///
+/// [`WireError::Oversized`] if the payload exceeds [`MAX_FRAME`];
+/// otherwise socket errors.
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> {
+    w.write_all(&encode_frame(payload)?)?;
     w.flush()?;
     Ok(())
 }
@@ -970,6 +985,43 @@ mod tests {
             partial.poll(&mut two),
             Err(WireError::Truncated { read: 2 })
         ));
+    }
+
+    /// A writer that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_issues_one_write_per_frame() {
+        let payload = ServerMsg::Result {
+            job: 1,
+            index: 2,
+            errors: 3,
+            bits: 4,
+        }
+        .to_value()
+        .to_string();
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, payload.as_bytes()).expect("writes");
+        assert_eq!(w.writes.len(), 1, "prefix and payload in one write");
+        let mut expected = (payload.len() as u32).to_be_bytes().to_vec();
+        expected.extend_from_slice(payload.as_bytes());
+        assert_eq!(w.writes[0], expected, "the same bytes on the wire");
+        assert_eq!(
+            read_frame(&mut w.writes[0].as_slice()).expect("reads back"),
+            payload.as_bytes()
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@ use ofdm_bench::waterfall::{run_waterfall, waterfall_json, ChannelProfile, Water
 use ofdm_server::chaos::{ChaosConfig, ChaosProxy};
 use ofdm_server::client::{run_job_with_recovery, BackoffPolicy};
 use ofdm_server::wire::{self, ClientMsg, JobSpec, ServerMsg};
-use ofdm_server::{Client, Server, ServerConfig, SubmitOutcome};
+use ofdm_server::{assemble_report, Client, Server, ServerConfig, SubmitOutcome};
 use ofdm_standards::StandardId;
 use std::net::TcpStream;
 use std::time::Duration;
@@ -49,6 +49,23 @@ fn start(config: ServerConfig) -> (String, std::thread::JoinHandle<std::io::Resu
     (addr, handle)
 }
 
+/// Joins the server thread, failing instead of hanging if it has not
+/// exited within `limit` (a missed accept wake-up shows up here).
+fn join_within(
+    server: std::thread::JoinHandle<std::io::Result<()>>,
+    limit: Duration,
+) -> std::io::Result<()> {
+    let deadline = std::time::Instant::now() + limit;
+    while !server.is_finished() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "server still running {limit:?} after it was told to stop"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    server.join().expect("server thread")
+}
+
 /// Runs `job` through a chaos proxy under `config` with the resilient
 /// client and asserts the result is byte-identical to a local run.
 /// Returns the proxy's final stats.
@@ -76,7 +93,7 @@ fn run_through_chaos(config: ChaosConfig, sweep: &JobSpec) -> ofdm_server::Chaos
         .expect("connect")
         .shutdown_server()
         .expect("shutdown");
-    server.join().expect("server thread").expect("clean");
+    join_within(server, Duration::from_secs(10)).expect("clean");
     stats
 }
 
@@ -176,7 +193,7 @@ fn a_plain_client_sees_typed_errors_not_hangs_under_chaos() {
         .expect("connect")
         .shutdown_server()
         .expect("shutdown");
-    server.join().expect("server thread").expect("clean");
+    join_within(server, Duration::from_secs(10)).expect("clean");
 }
 
 #[test]
@@ -205,7 +222,7 @@ fn heartbeats_keep_a_leased_session_alive_through_a_long_tail() {
         .expect("connect")
         .shutdown_server()
         .expect("shutdown");
-    server.join().expect("server thread").expect("clean");
+    join_within(server, Duration::from_secs(10)).expect("clean");
 }
 
 #[test]
@@ -302,7 +319,7 @@ fn a_dead_clients_session_is_reaped_and_its_grid_becomes_submittable() {
         .expect("connect")
         .shutdown_server()
         .expect("shutdown");
-    server.join().expect("server thread").expect("clean");
+    join_within(server, Duration::from_secs(10)).expect("clean");
 }
 
 #[test]
@@ -311,57 +328,111 @@ fn drain_finishes_inflight_jobs_notifies_sessions_and_exits_cleanly() {
         workers: 1,
         ..ServerConfig::default()
     });
-    let mut worker_client = Client::connect(&addr, "worker").expect("connect");
-    // Heavy enough (on one worker) that it is still in flight while the
-    // drain request and the rejection probe land.
-    let sweep = job(spec(StandardId::Vdsl, 16, 4096));
-    let (id, _points) = worker_client
-        .submit_with_retry(&sweep, 10)
-        .expect("accepted");
+    // A bystander session, open before the drain, must hear it too.
+    let mut bystander = Client::connect(&addr, "bystander").expect("connect");
 
-    // A second session asks for the drain; the ack is typed.
-    let mut drainer = Client::connect(&addr, "drainer").expect("connect");
-    let detail = drainer.drain().expect("drain ack");
+    // The submit, the drain request and the rejection probe leave in one
+    // write over one raw session, so the session reader handles all
+    // three before the single worker can finish even one grid point of
+    // the heavy job: the job is in flight when the drain lands, on any
+    // host speed.
+    let mut raw = TcpStream::connect(&addr).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    wire::send(
+        &mut raw,
+        &ClientMsg::Hello {
+            client: "drainer".into(),
+        }
+        .to_value(),
+    )
+    .expect("hello");
+    let welcome = ServerMsg::from_value(&wire::recv(&mut raw).expect("welcome")).expect("typed");
+    assert!(matches!(welcome, ServerMsg::Welcome { .. }), "{welcome:?}");
+    let sweep = job(spec(StandardId::Vdsl, 16, 4096));
+    let mut batch = Vec::new();
+    for msg in [
+        ClientMsg::Submit { job: sweep.clone() },
+        ClientMsg::Drain,
+        ClientMsg::Submit {
+            job: job(spec(StandardId::Dab, 2, 128)),
+        },
+    ] {
+        wire::send(&mut batch, &msg.to_value()).expect("encode");
+    }
+    std::io::Write::write_all(&mut raw, &batch).expect("one write");
+
+    let mut next = || ServerMsg::from_value(&wire::recv(&mut raw).expect("frame")).expect("typed");
+    // Frames from the session reader keep their order, and results only
+    // follow an accept: the first reply is the heavy submit's verdict.
+    let id = match next() {
+        ServerMsg::Accepted { job, points } => {
+            assert_eq!(points, sweep.spec.point_count());
+            job
+        }
+        other => panic!("the heavy job must be accepted, got {other:?}"),
+    };
+    let mut drain_detail = None;
+    let mut probe = None;
+    let mut results = Vec::new();
+    let status = loop {
+        match next() {
+            ServerMsg::Draining { detail } => drain_detail = Some(detail),
+            ServerMsg::Rejected {
+                reason,
+                retry_after_ms,
+            } => probe = Some((reason, retry_after_ms)),
+            ServerMsg::Result {
+                job,
+                index,
+                errors,
+                bits,
+            } => {
+                assert_eq!(job, id, "results belong to the accepted job");
+                assert_eq!(index, results.len(), "results stream in grid order");
+                results.push((errors, bits));
+            }
+            ServerMsg::Telemetry { .. } => {}
+            ServerMsg::Done { job, status, .. } => {
+                assert_eq!(job, id, "only the accepted job finishes");
+                break status;
+            }
+            other => panic!("unexpected frame {other:?}"),
+        }
+    };
+
+    // The drain ack is typed.
+    let detail = drain_detail.expect("the drainer hears its own drain");
     assert!(!detail.is_empty(), "draining frame carries a detail line");
 
     // New work is refused permanently while draining.
-    match drainer
-        .submit(&job(spec(StandardId::Dab, 2, 128)))
-        .expect("verdict")
-    {
-        SubmitOutcome::Rejected {
-            reason,
-            retry_after_ms,
-        } => {
-            assert!(reason.contains("draining"), "{reason}");
-            assert_eq!(retry_after_ms, 0, "draining rejections are permanent");
-        }
-        other => panic!("draining server must refuse submits, got {other:?}"),
-    }
+    let (reason, retry_after_ms) = probe.expect("draining server must refuse submits");
+    assert!(reason.contains("draining"), "{reason}");
+    assert_eq!(retry_after_ms, 0, "draining rejections are permanent");
 
     // The in-flight job still runs to a byte-identical completion.
-    let outcome = worker_client.tail_job(id).expect("tail");
-    assert_eq!(outcome.status, "complete", "drain finishes in-flight work");
+    assert_eq!(status, "complete", "drain finishes in-flight work");
     assert_eq!(
-        waterfall_json(&sweep.spec, &outcome.report(&sweep.spec).expect("report")).to_string(),
+        waterfall_json(
+            &sweep.spec,
+            &assemble_report(&sweep.spec, &results).expect("report")
+        )
+        .to_string(),
         local_doc(&sweep.spec),
         "a drain must not perturb in-flight results"
     );
-    // The first session heard the typed draining broadcast too.
-    let heard = worker_client.next_msg().expect("buffered frame");
+    // The other session heard the typed draining broadcast too.
+    let heard = bystander.next_msg().expect("buffered frame");
     assert!(
         matches!(heard, ServerMsg::Draining { .. }),
         "every session hears the broadcast, got {heard:?}"
     );
 
-    drop(worker_client);
-    drop(drainer);
+    drop(bystander);
+    drop(raw);
     // No shutdown frame is ever sent: the drain alone winds the server
     // down once the last job retires.
-    server
-        .join()
-        .expect("server thread")
-        .expect("drain exits cleanly");
+    join_within(server, Duration::from_secs(10)).expect("drain exits cleanly");
 }
 
 /// Kill -9 the server mid-grid, restart it over the same checkpoint
