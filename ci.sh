@@ -4,6 +4,27 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# One EXIT trap for the whole script. Under `set -e` a failing step exits
+# straight here, so it must remove every temp dir and stop whatever a
+# smoke step left running in the background (servers, the crash smoke's
+# client) — not only on success.
+WF_DIR='' LAB_DIR='' SMOKE_DIR=''
+SERVER_PID='' KILL_SERVER_PID='' CLI_PID=''
+cleanup() {
+    local pid dir
+    for pid in "$SERVER_PID" "$KILL_SERVER_PID" "$CLI_PID"; do
+        if [ -n "$pid" ]; then
+            kill "$pid" 2>/dev/null || true
+        fi
+    done
+    for dir in "$WF_DIR" "$LAB_DIR" "$SMOKE_DIR"; do
+        if [ -n "$dir" ]; then
+            rm -rf "$dir"
+        fi
+    done
+}
+trap cleanup EXIT
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
@@ -55,7 +76,6 @@ echo "==> waterfall smoke: experiments --waterfall"
 # --check-bench sibling: finite values, BER in [0, 1], and
 # monotone-descending curves.
 WF_DIR=$(mktemp -d)
-trap 'rm -rf "$WF_DIR"' EXIT
 cargo run --release -q -p ofdm-bench --bin experiments -- \
     --waterfall "$WF_DIR/waterfall.json"
 cmp waterfall.json "$WF_DIR/waterfall.json" \
@@ -71,7 +91,6 @@ echo "==> lab smoke: experiments --spec examples/lab/smoke.json"
 # smokes live on as lab specs (e9_faults, e10_*) exercised by the same
 # engine; the spec-file library itself is covered by `cargo test`.
 LAB_DIR=$(mktemp -d)
-trap 'rm -rf "$WF_DIR" "$LAB_DIR"' EXIT
 cargo run --release -q -p ofdm-bench --bin experiments -- \
     --spec examples/lab/smoke.json --lab-out "$LAB_DIR/lab_smoke.json"
 cargo run --release -q -p ofdm-bench --bin experiments -- \
@@ -83,7 +102,8 @@ cmp "$LAB_DIR/lab_smoke.json" "$LAB_DIR/lab_smoke_2.json" \
     || { echo "lab smoke: lab/v1 document is not byte-stable" >&2; exit 1; }
 
 # boot_server PORT_FILE [rfsim-server args...] — starts rfsim-server on an
-# ephemeral loopback port in the background, sets SERVER_PID, and waits up
+# ephemeral loopback port in the background, sets SERVER_PID (which the
+# EXIT trap kills if the script fails before `wait`ing it), and waits up
 # to 10 s (100 polls of 0.1 s) for the port file; returns non-zero if the
 # server never bound. Callers keep their own "never bound" message.
 boot_server() {
@@ -104,7 +124,6 @@ echo "==> service smoke: rfsim-server / rfsim-cli round trip"
 # against an in-process run (--compare-local). A clean shutdown must
 # leave no orphan server process.
 SMOKE_DIR=$(mktemp -d)
-trap 'rm -rf "$WF_DIR" "$SMOKE_DIR" "$LAB_DIR"' EXIT
 cargo build --release -q --bin rfsim-server --bin rfsim-cli
 boot_server "$SMOKE_DIR/port" \
     || { echo "service smoke: server never bound" >&2; exit 1; }

@@ -107,13 +107,6 @@ impl Complex64 {
     pub fn is_finite(self) -> bool {
         self.re.is_finite() && self.im.is_finite()
     }
-
-    /// Fused multiply-add: `self * b + c` (no actual FMA instruction is
-    /// required; this exists for butterfly legibility).
-    #[inline]
-    pub fn mul_add(self, b: Self, c: Self) -> Self {
-        self * b + c
-    }
 }
 
 impl fmt::Debug for Complex64 {

@@ -143,14 +143,8 @@ impl FirFilter {
         acc
     }
 
-    /// Processes a block, returning the filtered samples.
-    pub fn process(&mut self, input: &[Complex64]) -> Vec<Complex64> {
-        input.iter().map(|&x| self.push(x)).collect()
-    }
-
-    /// Processes a block into a reused output buffer (cleared first) —
-    /// the allocation-free variant of [`FirFilter::process`] used by
-    /// streaming blocks.
+    /// Processes a block into a reused output buffer (cleared first); the
+    /// delay line carries over to the next block.
     pub fn process_into(&mut self, input: &[Complex64], out: &mut Vec<Complex64>) {
         out.clear();
         out.reserve(input.len());
@@ -222,7 +216,8 @@ mod tests {
         let mut f = FirFilter::new(h.clone());
         let mut input = vec![Complex64::ZERO; 5];
         input[0] = Complex64::ONE;
-        let out = f.process(&input);
+        let mut out = Vec::new();
+        f.process_into(&input, &mut out);
         for (i, &c) in h.iter().enumerate() {
             assert!((out[i].re - c).abs() < 1e-15);
         }
@@ -233,7 +228,8 @@ mod tests {
     fn filter_dc_passthrough() {
         let h = lowpass(21, 0.25, Window::Hamming);
         let mut f = FirFilter::new(h);
-        let out = f.process(&vec![Complex64::ONE; 100]);
+        let mut out = Vec::new();
+        f.process_into(&[Complex64::ONE; 100], &mut out);
         // After the transient, a DC input passes with unit gain.
         assert!((out[99].re - 1.0).abs() < 1e-9);
     }

@@ -63,8 +63,9 @@ proptest! {
         let scaled: Vec<Complex64> = x.iter().map(|z| z.scale(scale)).collect();
         let mut f1 = FirFilter::new(h.clone());
         let mut f2 = FirFilter::new(h);
-        let y1 = f1.process(&x);
-        let y2 = f2.process(&scaled);
+        let (mut y1, mut y2) = (Vec::new(), Vec::new());
+        f1.process_into(&x, &mut y1);
+        f2.process_into(&scaled, &mut y2);
         for (a, b) in y1.iter().zip(&y2) {
             prop_assert!((a.scale(scale) - *b).abs() < 1e-9);
         }

@@ -56,18 +56,18 @@ impl Block for Dac {
         "dac"
     }
 
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
+    fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
         // Quantization is per-component, so the split layout turns it into
         // two flat f64 passes.
-        let mut s = inputs[0].clone();
-        let (re, im) = s.parts_mut();
+        out.copy_from(inputs[0]);
+        let (re, im) = out.parts_mut();
         for r in re.iter_mut() {
             *r = self.quantize(*r);
         }
         for i in im.iter_mut() {
             *i = self.quantize(*i);
         }
-        Ok(s)
+        Ok(())
     }
 }
 
@@ -125,9 +125,9 @@ impl Block for LocalOscillator {
         "local-oscillator"
     }
 
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        let mut s = inputs[0].clone();
-        let fs = s.sample_rate();
+    fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
+        out.copy_from(inputs[0]);
+        let fs = out.sample_rate();
         let nco = match &mut self.nco {
             Some(n) if (n.freq_hz() - self.freq_offset_hz).abs() < f64::EPSILON => n,
             _ => {
@@ -138,7 +138,7 @@ impl Block for LocalOscillator {
         let sigma = (std::f64::consts::TAU * self.linewidth_hz / fs).sqrt();
         // Sequential per-sample loop: the phase random walk and the NCO are
         // stateful, so sample order (and RNG draw order) must be preserved.
-        let (re, im) = s.parts_mut();
+        let (re, im) = out.parts_mut();
         for (r, i) in re.iter_mut().zip(im.iter_mut()) {
             if sigma > 0.0 {
                 // Box–Muller Gaussian increment for the phase random walk.
@@ -151,7 +151,7 @@ impl Block for LocalOscillator {
             *r = z.re;
             *i = z.im;
         }
-        Ok(s)
+        Ok(())
     }
 
     fn reset(&mut self) {
@@ -183,8 +183,8 @@ impl Block for Mixer {
         2
     }
 
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        let (a, b) = (&inputs[0], &inputs[1]);
+    fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
+        let (a, b) = (inputs[0], inputs[1]);
         if (a.sample_rate() - b.sample_rate()).abs() > 1e-9 * a.sample_rate() {
             return Err(SimError::RateMismatch {
                 block: "mixer".into(),
@@ -198,8 +198,12 @@ impl Block for Mixer {
                 message: format!("input lengths differ ({} vs {})", a.len(), b.len()),
             });
         }
-        let samples = a.iter().zip(b.iter()).map(|(x, y)| x * y).collect();
-        Ok(Signal::new(samples, a.sample_rate()))
+        out.clear();
+        out.set_sample_rate(a.sample_rate());
+        for (x, y) in a.iter().zip(b.iter()) {
+            out.push(x * y);
+        }
+        Ok(())
     }
 }
 
@@ -227,8 +231,8 @@ impl Block for Combiner {
         2
     }
 
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        let (a, b) = (&inputs[0], &inputs[1]);
+    fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
+        let (a, b) = (inputs[0], inputs[1]);
         if (a.sample_rate() - b.sample_rate()).abs() > 1e-9 * a.sample_rate() {
             return Err(SimError::RateMismatch {
                 block: "combiner".into(),
@@ -239,8 +243,12 @@ impl Block for Combiner {
         let n = a.len().max(b.len());
         let zero = Complex64::ZERO;
         let at = |s: &Signal, i: usize| if i < s.len() { s.get(i) } else { zero };
-        let samples = (0..n).map(|i| at(a, i) + at(b, i)).collect();
-        Ok(Signal::new(samples, a.sample_rate()))
+        out.clear();
+        out.set_sample_rate(a.sample_rate());
+        for i in 0..n {
+            out.push(at(a, i) + at(b, i));
+        }
+        Ok(())
     }
 }
 
@@ -285,14 +293,14 @@ impl Block for IqImbalance {
         "iq-imbalance"
     }
 
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        let mut s = inputs[0].clone();
+    fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
+        out.copy_from(inputs[0]);
         let ge_m = Complex64::from_polar(self.gain, -self.phase_rad);
         let ge_p = Complex64::from_polar(self.gain, self.phase_rad);
         let k1 = (Complex64::ONE + ge_m).scale(0.5);
         let k2 = (Complex64::ONE - ge_p).scale(0.5);
-        s.map_in_place(|z| k1 * z + k2 * z.conj());
-        Ok(s)
+        out.map_in_place(|z| k1 * z + k2 * z.conj());
+        Ok(())
     }
 }
 

@@ -173,9 +173,13 @@ impl Error for SimError {}
 /// A behavioral simulation block: consumes input signals, produces one
 /// output signal.
 ///
-/// Sources report `input_count() == 0` and ignore the (empty) input slice.
-/// Instruments pass their input through unchanged and expose measurements
-/// via their own inherent methods after the run.
+/// Sources report `input_count() == 0`, ignore the (empty) input slice and
+/// produce their pass through [`Block::process`] (and, if they stream,
+/// [`Block::stream_chunk`]). Every other block holds its DSP in exactly one
+/// place, [`Block::process_chunk`]: a batch pass is one maximal chunk, so
+/// batch and streaming share the code and cannot drift apart. Instruments
+/// pass their input through unchanged and expose measurements via their
+/// own inherent methods after the run.
 ///
 /// Blocks process whole signal blocks (frames), matching the behavioral
 /// abstraction level the paper argues for: no per-sample event scheduling.
@@ -206,49 +210,62 @@ pub trait Block: Send + std::any::Any {
         }
     }
 
-    /// Processes one simulation pass.
+    /// Processes one whole simulation pass.
     ///
     /// `inputs` holds exactly `input_count()` signals, ordered by port.
+    /// Sources override this to emit their pass. For every other block the
+    /// provided method is the pass as one maximal chunk:
+    /// [`Block::begin_stream`], one [`Block::process_chunk`] over the whole
+    /// input, then [`Block::end_stream`].
     ///
     /// # Errors
     ///
-    /// Implementations return [`SimError::BlockFailure`] (or
+    /// Whatever the three hooks return: [`SimError::BlockFailure`] (or
     /// [`SimError::RateMismatch`]) for conditions detectable only at run
     /// time.
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError>;
+    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
+        self.begin_stream();
+        let inputs: Vec<&Signal> = inputs.iter().collect();
+        let mut out = Signal::default();
+        self.process_chunk(&inputs, &mut out)?;
+        self.end_stream()?;
+        Ok(out)
+    }
 
     /// Clears internal state (delay lines, accumulators) between runs.
     fn reset(&mut self) {}
 
-    /// Hook called once before the first chunk of a streaming pass
-    /// ([`crate::ExecMode::Streaming`]). Instruments arm their
-    /// accumulators here.
+    /// Hook called once before the first chunk of a pass, batch or
+    /// streaming. Blocks zero per-pass state here (a delay line that must
+    /// start empty); instruments arm their accumulators.
     fn begin_stream(&mut self) {}
 
-    /// Processes one chunk of a streaming pass into a reused output buffer.
+    /// Processes one chunk of a pass into a reused output buffer — the one
+    /// place an interior block holds its DSP.
     ///
     /// `inputs` holds exactly `input_count()` chunk signals, ordered by
     /// port; `out` arrives with whatever the block wrote last chunk and
-    /// must be overwritten. Stateful blocks (filters, channels with running
-    /// phase) rely on chunks arriving in order — chunk-sequential
-    /// processing of a pass must equal one batch [`Block::process`] call.
-    ///
-    /// The default adapter clones the chunk inputs and delegates to
-    /// `process`, so batch-only blocks participate in streaming runs
-    /// unchanged (at the cost of one copy per chunk). Blocks on hot paths
-    /// override this to write `out` in place.
+    /// must be overwritten, sample rate included. Stateful blocks (filters,
+    /// channels with running phase) rely on chunks arriving in order. A
+    /// batch pass is a single call over the whole input, so a block whose
+    /// chunk-sequential output equals that single call is chunk-invariant.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Block::process`].
+    /// [`SimError::BlockFailure`] by default (sources have no chunk path);
+    /// implementations return [`SimError::BlockFailure`] or
+    /// [`SimError::RateMismatch`] for conditions detectable only at run
+    /// time.
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
-        let owned: Vec<Signal> = inputs.iter().map(|&s| s.clone()).collect();
-        *out = self.process(&owned)?;
-        Ok(())
+        let _ = (inputs, out);
+        Err(SimError::BlockFailure {
+            block: self.name().to_owned(),
+            message: "block does not process input chunks".into(),
+        })
     }
 
-    /// Hook called once after the final chunk of a streaming pass.
-    /// Instruments finalize whole-pass measurements here.
+    /// Hook called once after the final chunk of a pass, batch or
+    /// streaming. Instruments finalize whole-pass measurements here.
     ///
     /// # Errors
     ///
@@ -340,31 +357,50 @@ mod tests {
     }
 
     #[test]
-    fn default_chunk_adapter_delegates_to_process() {
+    fn default_process_is_one_maximal_chunk() {
         use ofdm_dsp::Complex64;
-        struct Doubler;
+        /// Doubles its input and counts the hook calls around it.
+        #[derive(Default)]
+        struct Doubler {
+            begun: u32,
+            chunks: u32,
+            ended: u32,
+        }
         impl Block for Doubler {
             fn name(&self) -> &str {
                 "doubler"
             }
-            fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-                let samples = inputs[0].samples().iter().map(|z| z.scale(2.0)).collect();
-                Ok(Signal::new(samples, inputs[0].sample_rate()))
+            fn begin_stream(&mut self) {
+                self.begun += 1;
+            }
+            fn process_chunk(
+                &mut self,
+                inputs: &[&Signal],
+                out: &mut Signal,
+            ) -> Result<(), SimError> {
+                self.chunks += 1;
+                out.copy_from(inputs[0]);
+                out.map_in_place(|z| z.scale(2.0));
+                Ok(())
+            }
+            fn end_stream(&mut self) -> Result<(), SimError> {
+                self.ended += 1;
+                Ok(())
             }
         }
-        let mut b = Doubler;
+        let mut b = Doubler::default();
         assert!(!b.supports_streaming());
-        b.begin_stream();
-        let chunk = Signal::new(vec![Complex64::ONE; 3], 1.0e6);
-        let mut out = Signal::default();
-        b.process_chunk(&[&chunk], &mut out).unwrap();
+        let out = b
+            .process(&[Signal::new(vec![Complex64::ONE; 3], 1.0e6)])
+            .unwrap();
         assert_eq!(out.len(), 3);
         assert_eq!(out.sample_rate(), 1.0e6);
         assert!((out.samples()[0].re - 2.0).abs() < 1e-15);
-        b.end_stream().unwrap();
-        // Non-streaming sources reject stream_chunk by default.
+        assert_eq!((b.begun, b.chunks, b.ended), (1, 1, 1));
+        // Non-streaming blocks reject stream_chunk by default.
+        let mut scratch = Signal::default();
         assert!(matches!(
-            b.stream_chunk(8, &mut out),
+            b.stream_chunk(8, &mut scratch),
             Err(SimError::BlockFailure { .. })
         ));
     }
@@ -387,6 +423,11 @@ mod tests {
         assert_eq!(b.name(), "null");
         assert_eq!(b.input_count(), 0);
         assert!(b.process(&[]).unwrap().is_empty());
+        // A source has no chunk path to fall back on.
+        assert!(matches!(
+            b.process_chunk(&[], &mut Signal::default()),
+            Err(SimError::BlockFailure { .. })
+        ));
         b.reset();
     }
 
@@ -408,9 +449,6 @@ mod tests {
         impl Block for Stage {
             fn name(&self) -> &str {
                 "stage"
-            }
-            fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-                Ok(inputs[0].clone())
             }
         }
         assert_eq!(Src.role(), BlockRole::Source);

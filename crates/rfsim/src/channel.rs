@@ -29,6 +29,10 @@ fn gaussian_pair(rng: &mut StdRng) -> (f64, f64) {
 /// Additive white Gaussian noise at a specified SNR relative to the input's
 /// measured power.
 ///
+/// Without [`AwgnChannel::with_reference_power`] the power is measured per
+/// invocation — over the whole pass in a batch run, over each chunk in a
+/// streaming run — so streamed output depends on the chunk length.
+///
 /// # Example
 ///
 /// ```
@@ -64,7 +68,7 @@ impl AwgnChannel {
     /// Builder: derive the noise variance from a fixed reference power
     /// instead of measuring each pass (or each chunk).
     ///
-    /// Measuring the input power inside `process` makes the noise level
+    /// Measuring the input power on every invocation makes the noise level
     /// depend on how the pass is split: a chunked streaming run would
     /// measure each chunk separately and diverge from the batch run. With a
     /// fixed reference the noise σ is constant, the RNG sequence continues
@@ -104,37 +108,12 @@ impl Block for AwgnChannel {
         "awgn-channel"
     }
 
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        let mut s = inputs[0].clone();
-        let sig_pow = match self.reference_power {
-            Some(p) => p,
-            None => {
-                let p = s.power();
-                if p == 0.0 {
-                    return Ok(s);
-                }
-                p
-            }
-        };
-        let sigma = self.sigma(sig_pow); // per real dimension
-
-        // Sequential loop: the RNG draw order defines the noise sequence.
-        let (re, im) = s.parts_mut();
-        for (r, i) in re.iter_mut().zip(im.iter_mut()) {
-            let (gr, gi) = gaussian_pair(&mut self.rng);
-            *r += sigma * gr;
-            *i += sigma * gi;
-        }
-        Ok(s)
-    }
-
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
         out.copy_from(inputs[0]);
         let sig_pow = match self.reference_power {
             Some(p) => p,
             None => {
-                // No reference: fall back to per-chunk measurement (same
-                // behavior as the default clone adapter, without the alloc).
+                // No reference: measure this invocation's input.
                 let p = out.power();
                 if p == 0.0 {
                     return Ok(());
@@ -142,7 +121,9 @@ impl Block for AwgnChannel {
                 p
             }
         };
-        let sigma = self.sigma(sig_pow);
+        let sigma = self.sigma(sig_pow); // per real dimension
+
+        // Sequential loop: the RNG draw order defines the noise sequence.
         let (re, im) = out.parts_mut();
         for (r, i) in re.iter_mut().zip(im.iter_mut()) {
             let (gr, gi) = gaussian_pair(&mut self.rng);
@@ -209,19 +190,6 @@ impl MultipathChannel {
 impl Block for MultipathChannel {
     fn name(&self) -> &str {
         "multipath-channel"
-    }
-
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        let x = inputs[0].samples();
-        let mut y = vec![Complex64::ZERO; x.len()];
-        for (n, out) in y.iter_mut().enumerate() {
-            for (k, &h) in self.taps.iter().enumerate() {
-                if n >= k {
-                    *out += h * x[n - k];
-                }
-            }
-        }
-        Ok(Signal::new(y, inputs[0].sample_rate()))
     }
 
     fn begin_stream(&mut self) {
@@ -503,11 +471,11 @@ impl FadingChannel {
         self.hist_im.resize(hist, 0.0);
     }
 
-    /// The shared per-sample core of the batch and chunked paths: applies
-    /// the time-varying tapped delay line to `(x_re, x_im)` starting at
-    /// absolute sample `t0`, reading pre-chunk samples from
-    /// `(hist_re, hist_im)`, appending into `out`, and rolling the history
-    /// forward. Both entry points run exactly this code, so chunked output
+    /// The per-sample core of the chunk path: applies the time-varying
+    /// tapped delay line to `(x_re, x_im)` starting at absolute sample
+    /// `t0`, reading pre-chunk samples from `(hist_re, hist_im)`,
+    /// appending into `out`, and rolling the history forward. A batch pass
+    /// is one maximal chunk through exactly this code, so chunked output
     /// is bit-identical to batch by construction.
     #[allow(clippy::too_many_arguments)]
     fn apply(
@@ -561,15 +529,6 @@ impl Block for FadingChannel {
 
     fn role(&self) -> BlockRole {
         BlockRole::Impairment
-    }
-
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        // Batch is one maximal chunk over a freshly zeroed delay line —
-        // literally the chunked path, so the two agree bit for bit.
-        self.arm_history();
-        let mut out = Signal::empty(inputs[0].sample_rate());
-        self.process_chunk(&[&inputs[0]], &mut out)?;
-        Ok(out)
     }
 
     fn begin_stream(&mut self) {
@@ -670,15 +629,6 @@ impl Block for CfoChannel {
         BlockRole::Impairment
     }
 
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        let mut s = inputs[0].clone();
-        let fs = s.sample_rate();
-        let (re, im) = s.parts_mut();
-        self.rotate(re, im, fs);
-        self.t += s.len() as u64;
-        Ok(s)
-    }
-
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
         out.copy_from(inputs[0]);
         let fs = out.sample_rate();
@@ -758,14 +708,6 @@ impl Block for PhaseNoiseChannel {
         BlockRole::Impairment
     }
 
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        let mut s = inputs[0].clone();
-        let fs = s.sample_rate();
-        let (re, im) = s.parts_mut();
-        self.walk(re, im, fs);
-        Ok(s)
-    }
-
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
         out.copy_from(inputs[0]);
         let fs = out.sample_rate();
@@ -790,6 +732,10 @@ pub struct DslLineChannel {
     loss_at_ref_db: f64,
     f_ref_hz: f64,
     fir_len: usize,
+    /// The FIR designed for the last input sample rate, kept with that
+    /// rate; its delay line carries the line's memory across chunks.
+    fir: Option<(f64, FirFilter)>,
+    scratch: Vec<Complex64>,
 }
 
 impl DslLineChannel {
@@ -810,6 +756,8 @@ impl DslLineChannel {
             // DMT cyclic prefix; real loops are longer and need a TEQ —
             // model that by raising the length via `with_fir_len`.
             fir_len: 33,
+            fir: None,
+            scratch: Vec::new(),
         }
     }
 
@@ -826,6 +774,7 @@ impl DslLineChannel {
             "FIR length must be odd for integer group delay"
         );
         self.fir_len = len;
+        self.fir = None;
         self
     }
 
@@ -874,13 +823,26 @@ impl Block for DslLineChannel {
         "dsl-line"
     }
 
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        let coeffs = self.design(inputs[0].sample_rate());
-        let mut fir = FirFilter::new(coeffs);
-        Ok(Signal::new(
-            fir.process(&inputs[0].samples()),
-            inputs[0].sample_rate(),
-        ))
+    fn begin_stream(&mut self) {
+        if let Some((_, fir)) = &mut self.fir {
+            fir.reset();
+        }
+    }
+
+    fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
+        let fs = inputs[0].sample_rate();
+        if !matches!(self.fir, Some((rate, _)) if rate == fs) {
+            // The O(fir_len²) design runs once per sample rate, not per call.
+            self.fir = Some((fs, FirFilter::new(self.design(fs))));
+        }
+        let (_, fir) = self.fir.as_mut().expect("designed for this rate above");
+        fir.process_into(&inputs[0].samples(), &mut self.scratch);
+        out.assign(&self.scratch, fs);
+        Ok(())
+    }
+
+    fn reset(&mut self) {
+        self.begin_stream();
     }
 }
 
@@ -892,6 +854,10 @@ impl Block for DslLineChannel {
 /// Gaussian impulse whose power is `impulse_to_background_db` above the
 /// ever-present background AWGN floor — the two-component special case of
 /// Middleton's Class A model.
+///
+/// The signal power both noise levels refer to is measured per invocation
+/// — over the whole pass in a batch run, over each chunk in a streaming
+/// run — so streamed output depends on the chunk length.
 #[derive(Debug, Clone)]
 pub struct ImpulsiveNoiseChannel {
     background_snr_db: f64,
@@ -939,17 +905,17 @@ impl Block for ImpulsiveNoiseChannel {
         "impulsive-noise-channel"
     }
 
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        let mut s = inputs[0].clone();
-        let sig_pow = s.power();
+    fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
+        out.copy_from(inputs[0]);
+        let sig_pow = out.power();
         if sig_pow == 0.0 {
-            return Ok(s);
+            return Ok(());
         }
         let bg_pow = sig_pow * 10f64.powf(-self.background_snr_db / 10.0);
         let bg_sigma = (bg_pow / 2.0).sqrt();
         let imp_sigma = bg_sigma * 10f64.powf(self.impulse_to_background_db / 20.0);
         // Sequential loop: the RNG draw order defines the noise sequence.
-        let (re, im) = s.parts_mut();
+        let (re, im) = out.parts_mut();
         for (r, i) in re.iter_mut().zip(im.iter_mut()) {
             let (gr, gi) = gaussian_pair(&mut self.rng);
             *r += bg_sigma * gr;
@@ -960,7 +926,7 @@ impl Block for ImpulsiveNoiseChannel {
                 *i += imp_sigma * ii;
             }
         }
-        Ok(s)
+        Ok(())
     }
 
     fn reset(&mut self) {
@@ -1226,6 +1192,24 @@ mod tests {
         let plo = ofdm_dsp::stats::mean_power(&ylo.samples()[1024..]);
         let phi = ofdm_dsp::stats::mean_power(&yhi.samples()[1024..]);
         assert!(plo > 4.0 * phi, "low {plo} vs high {phi}");
+    }
+
+    #[test]
+    fn dsl_line_chunked_matches_batch() {
+        // Regression: the line used to build a fresh FIR on every call, so
+        // each streamed chunk restarted from an empty delay line. One
+        // instance runs every pass: each must start from a zeroed line.
+        let sig = wave(1000, 2.2e6);
+        let mut line = DslLineChannel::new(13.8, 300e3);
+        let want = line.process(std::slice::from_ref(&sig)).unwrap();
+        for chunk_len in [64usize, 1, 37, 1000] {
+            let got = run_chunked(&mut line, &sig, chunk_len);
+            assert_eq!(got, want, "chunk_len {chunk_len}");
+        }
+        // A pass at another rate redesigns the filter, and back again.
+        let other = line.process(&[wave(1000, 4.4e6)]).unwrap();
+        assert_ne!(other.samples(), want.samples());
+        assert_eq!(line.process(std::slice::from_ref(&sig)).unwrap(), want);
     }
 
     fn wave(n: usize, fs: f64) -> Signal {

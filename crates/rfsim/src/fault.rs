@@ -128,12 +128,6 @@ impl Block for SampleDropper {
         "sample-dropper"
     }
 
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        let mut s = inputs[0].clone();
-        self.corrupt(&mut s);
-        Ok(s)
-    }
-
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
         out.copy_from(inputs[0]);
         self.corrupt(out);
@@ -202,12 +196,6 @@ impl Block for NanInjector {
 
     fn name(&self) -> &str {
         "nan-injector"
-    }
-
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        let mut s = inputs[0].clone();
-        self.corrupt(&mut s);
-        Ok(s)
     }
 
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
@@ -289,12 +277,6 @@ impl Block for ClockDriftJitter {
 
     fn name(&self) -> &str {
         "clock-drift-jitter"
-    }
-
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        let mut s = inputs[0].clone();
-        self.corrupt(&mut s);
-        Ok(s)
     }
 
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
@@ -575,23 +557,13 @@ impl std::fmt::Debug for FaultInjector {
 pub struct StalledSource {
     sample_rate: f64,
     stall: std::time::Duration,
-    chunks: u64,
 }
 
 impl StalledSource {
     /// A source at `sample_rate` Hz that sleeps `stall` before every
     /// chunk it emits.
     pub fn new(sample_rate: f64, stall: std::time::Duration) -> Self {
-        StalledSource {
-            sample_rate,
-            stall,
-            chunks: 0,
-        }
-    }
-
-    /// Chunks emitted since construction or the last reset.
-    pub fn chunks_emitted(&self) -> u64 {
-        self.chunks
+        StalledSource { sample_rate, stall }
     }
 }
 
@@ -619,12 +591,7 @@ impl Block for StalledSource {
         std::thread::sleep(self.stall);
         let samples = vec![Complex64::ONE; max_samples];
         out.assign(&samples, self.sample_rate);
-        self.chunks += 1;
         Ok(max_samples)
-    }
-
-    fn reset(&mut self) {
-        self.chunks = 0;
     }
 }
 

@@ -36,16 +36,9 @@ impl Block for FirBlock {
         "fir"
     }
 
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        Ok(Signal::new(
-            self.filter.process(&inputs[0].samples()),
-            inputs[0].sample_rate(),
-        ))
-    }
-
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
         // The delay line carries across chunks exactly as it does across
-        // batch passes, so chunk-sequential output equals one batch call.
+        // passes, so chunk-sequential output equals one batch call.
         self.filter
             .process_into(&inputs[0].samples(), &mut self.scratch);
         out.assign(&self.scratch, inputs[0].sample_rate());
@@ -180,31 +173,6 @@ impl ButterworthLowpass {
 impl Block for ButterworthLowpass {
     fn name(&self) -> &str {
         "butterworth-lowpass"
-    }
-
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        let fs = inputs[0].sample_rate();
-        if self.cutoff_hz >= fs / 2.0 {
-            return Err(SimError::BlockFailure {
-                block: "butterworth-lowpass".into(),
-                message: format!(
-                    "cutoff {} Hz is not below Nyquist for {} Hz sampling",
-                    self.cutoff_hz, fs
-                ),
-            });
-        }
-        if (self.designed_rate - fs).abs() > 1e-9 {
-            self.design(fs);
-        }
-        let mut out = Vec::with_capacity(inputs[0].len());
-        for x in inputs[0].iter() {
-            let mut y = x;
-            for s in self.sections.iter_mut() {
-                y = s.process(y);
-            }
-            out.push(y);
-        }
-        Ok(Signal::new(out, fs))
     }
 
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {

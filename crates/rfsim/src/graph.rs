@@ -6,9 +6,10 @@
 //! mode plus every feature toggle (telemetry, non-finite guard, deadline
 //! budget, cancellation, circuit breakers). Two modes exist:
 //!
-//! * [`ExecMode::Batch`] — each block processes the whole pass at once and
-//!   every node's output is retained for inspection, like probing all
-//!   nodes of an RF schematic. Peak memory is O(pass length × nodes).
+//! * [`ExecMode::Batch`] — the whole pass moves through the graph as one
+//!   chunk and every node's output is retained for inspection, like
+//!   probing all nodes of an RF schematic. Peak memory is O(pass length ×
+//!   nodes).
 //! * [`ExecMode::Streaming`] — samples move through the graph in bounded
 //!   chunks through per-edge buffers that are reused from chunk to chunk,
 //!   so peak memory is O(chunk length × nodes). Node outputs are retained
@@ -40,11 +41,10 @@ struct Node {
 
 /// How a source node is fed during one execution.
 enum Feed {
-    /// Batch pass: the source evaluates its whole pass in one invocation.
-    Whole,
-    /// Streaming pass: the source emits chunks itself
+    /// The source is invoked every round: for its whole pass in a batch
+    /// pass ([`Block::process`]), for its next chunk in a streaming pass
     /// ([`Block::stream_chunk`]).
-    Stream,
+    Live,
     /// Streaming pass, batch-only source: evaluated once up front, then
     /// sliced into chunks.
     Cached { signal: Signal, pos: usize },
@@ -154,21 +154,25 @@ impl Graph {
     /// from a fresh recorder, so consecutive passes never accumulate into
     /// each other.
     ///
-    /// In a streaming pass, streaming-capable sources
+    /// Every interior block runs through [`Block::process_chunk`] in
+    /// dependency order, writing into per-edge buffers, and
+    /// [`Block::begin_stream`]/[`Block::end_stream`] bracket every pass so
+    /// instruments can accumulate whole-pass measurements. A batch pass is
+    /// one round: each source emits its whole pass through
+    /// [`Block::process`], every interior block sees it as one maximal
+    /// chunk, and the buffers move onto the nodes at the end. In a
+    /// streaming pass, streaming-capable sources
     /// ([`Block::supports_streaming`]) emit one chunk per round;
-    /// batch-only sources are evaluated once up front and sliced. Each
-    /// round pushes the chunks through the graph in dependency order via
-    /// [`Block::process_chunk`] into per-edge buffers that are reused
-    /// between chunks, and the pass ends when every source is exhausted.
-    /// [`Block::begin_stream`]/[`Block::end_stream`] bracket the pass so
-    /// instruments can accumulate whole-pass measurements.
+    /// batch-only sources are evaluated once up front and sliced. The
+    /// buffers are reused between chunks, and the pass ends when every
+    /// source is exhausted.
     ///
-    /// For chunk-sequential blocks (every block shipped with this crate),
-    /// the concatenated chunk stream at a node equals the batch output
-    /// sample for sample. Blocks that measure whole-pass statistics inside
-    /// `process` (e.g. a noise channel deriving σ from measured input
-    /// power) only match batch output if configured with a fixed reference
-    /// instead (see `AwgnChannel::with_reference_power`). With multiple
+    /// For chunk-sequential blocks, the concatenated chunk stream at a
+    /// node equals the batch output sample for sample. Blocks that measure
+    /// a statistic of each invocation's input (e.g. a noise channel
+    /// deriving σ from measured input power) only match batch output if
+    /// configured with a fixed reference instead (see
+    /// `AwgnChannel::with_reference_power`). With multiple
     /// sources of unequal pass lengths, exhausted sources contribute empty
     /// chunks while the rest finish; blocks must tolerate shorter/empty
     /// inputs in that case.
@@ -197,8 +201,8 @@ impl Graph {
     ///   catches a NaN/inf sample.
     /// * [`SimError::BlockFault`] when an open circuit breaker on an
     ///   essential block fails fast.
-    /// * Any error returned by a block's `process`, `stream_chunk` or
-    ///   `end_stream`.
+    /// * Any error returned by a source's `process` or `stream_chunk`, or
+    ///   by a block's `process_chunk` or `end_stream`.
     pub fn execute(&mut self, plan: &ExecPlan) -> Result<Option<RunReport>, SimError> {
         let mut recorder = plan.telemetry().then(|| Recorder::new(self.nodes.len()));
         if let Err(e) = self.execute_core(plan, recorder.as_mut()) {
@@ -227,10 +231,9 @@ impl Graph {
     /// through here. Each round pulls one chunk from every source, then
     /// pushes the chunks through the interior blocks in dependency order.
     /// A batch pass is the degenerate single round — each source
-    /// contributes its whole pass as its one "chunk", interior outputs are
-    /// stored on the nodes instead of per-edge buffers, and the loop ends
-    /// after one push. A streaming pass repeats rounds until every source
-    /// is exhausted.
+    /// contributes its whole pass as its one "chunk", the loop ends after
+    /// one push, and every buffer then moves onto its node. A streaming
+    /// pass repeats rounds until every source is exhausted.
     fn execute_core(
         &mut self,
         plan: &ExecPlan,
@@ -260,34 +263,31 @@ impl Graph {
         let order = self.topological_order()?;
         let n = self.nodes.len();
 
-        if chunk.is_some() {
-            for node in &mut self.nodes {
-                node.output = None;
-                node.block.begin_stream();
-            }
+        for node in &mut self.nodes {
+            node.output = None;
+            node.block.begin_stream();
         }
 
         let mut feeds: Vec<Option<Feed>> = Vec::with_capacity(n);
         for i in 0..n {
             feeds.push(if !self.nodes[i].inputs.is_empty() {
                 None
-            } else if chunk.is_none() {
-                Some(Feed::Whole)
-            } else if self.nodes[i].block.supports_streaming() {
-                Some(Feed::Stream)
+            } else if chunk.is_none() || self.nodes[i].block.supports_streaming() {
+                Some(Feed::Live)
             } else {
                 // Batch-only source: the one up-front evaluation is the
                 // block's whole cost for the pass.
                 self.check_supervision(plan, i, deadline.as_ref())?;
-                let signal = self.invoke_batch(plan, i, &[], telemetry.as_deref_mut())?;
+                let mut signal = Signal::default();
+                self.invoke_source(plan, i, None, &mut signal, telemetry.as_deref_mut())?;
                 Some(Feed::Cached { signal, pos: 0 })
             });
         }
 
-        // Per-edge chunk buffers, reused across rounds: after the first
-        // round each holds its warm allocation and no further growth
-        // happens for constant chunk sizes. Batch passes store whole
-        // outputs on the nodes instead and leave these empty.
+        // Per-edge buffers, reused across rounds: after the first round
+        // each holds its warm allocation and no further growth happens for
+        // constant chunk sizes. A batch pass moves them onto the nodes at
+        // the end.
         let mut bufs: Vec<Signal> = (0..n).map(|_| Signal::default()).collect();
 
         loop {
@@ -297,44 +297,16 @@ impl Graph {
             for (i, feed) in feeds.iter_mut().enumerate() {
                 let Some(feed) = feed else { continue };
                 match feed {
-                    Feed::Whole => {
+                    Feed::Live => {
                         self.check_supervision(plan, i, deadline.as_ref())?;
-                        let out = self.invoke_batch(plan, i, &[], telemetry.as_deref_mut())?;
-                        if let Some(t) = telemetry.as_deref_mut() {
-                            t.note_buffer(i, out.len());
-                        }
-                        self.nodes[i].output = Some(out);
-                    }
-                    Feed::Stream => {
-                        let chunk_len = chunk.expect("stream feeds exist only when streaming");
-                        self.check_supervision(plan, i, deadline.as_ref())?;
-                        self.source_fail_fast(plan, i)?;
-                        let pulled = match telemetry.as_deref_mut() {
-                            Some(t) => {
-                                let begin = t.begin();
-                                let r = self.nodes[i].block.stream_chunk(chunk_len, &mut bufs[i]);
-                                if let Ok(got) = r {
-                                    t.record(i, begin, 0, got);
-                                }
-                                r
-                            }
-                            None => self.nodes[i].block.stream_chunk(chunk_len, &mut bufs[i]),
-                        };
-                        let pulled = pulled
-                            .and_then(|got| self.check_finite(plan, i, &bufs[i]).map(|()| got));
-                        match pulled {
-                            Ok(got) => {
-                                self.note_source_result(plan, i, false);
-                                produced |= got > 0;
-                            }
-                            Err(e) => {
-                                self.note_source_result(plan, i, true);
-                                return Err(e);
-                            }
-                        }
-                        if let Some(t) = telemetry.as_deref_mut() {
-                            t.note_buffer(i, bufs[i].len());
-                        }
+                        let got = self.invoke_source(
+                            plan,
+                            i,
+                            chunk,
+                            &mut bufs[i],
+                            telemetry.as_deref_mut(),
+                        )?;
+                        produced |= got > 0;
                     }
                     Feed::Cached { signal, pos } => {
                         let chunk_len = chunk.expect("cached feeds exist only when streaming");
@@ -342,10 +314,10 @@ impl Graph {
                         bufs[i].assign_range(signal, *pos, take);
                         *pos += take;
                         produced |= take > 0;
-                        if let Some(t) = telemetry.as_deref_mut() {
-                            t.note_buffer(i, bufs[i].len());
-                        }
                     }
+                }
+                if let Some(t) = telemetry.as_deref_mut() {
+                    t.note_buffer(i, bufs[i].len());
                 }
             }
             if !produced {
@@ -357,38 +329,17 @@ impl Graph {
 
             // Push the chunks through the interior of the graph.
             for &BlockId(i) in &order {
-                if self.nodes[i].inputs.is_empty() {
-                    if chunk.is_some() {
-                        accumulate_probe(&mut self.nodes[i], &bufs[i]);
-                    }
-                    continue;
-                }
-                self.check_supervision(plan, i, deadline.as_ref())?;
-                if chunk.is_some() {
+                if !self.nodes[i].inputs.is_empty() {
+                    self.check_supervision(plan, i, deadline.as_ref())?;
                     let mut out = std::mem::take(&mut bufs[i]);
                     self.invoke_stream(plan, i, &bufs, &mut out, telemetry.as_deref_mut())?;
-                    accumulate_probe(&mut self.nodes[i], &out);
                     if let Some(t) = telemetry.as_deref_mut() {
                         t.note_buffer(i, out.len());
                     }
                     bufs[i] = out;
-                } else {
-                    let inputs: Vec<Signal> = self.nodes[i]
-                        .inputs
-                        .clone()
-                        .into_iter()
-                        .map(|src| {
-                            self.nodes[src.expect("verified above").0]
-                                .output
-                                .clone()
-                                .expect("dependency order guarantees the source ran")
-                        })
-                        .collect();
-                    let out = self.invoke_batch(plan, i, &inputs, telemetry.as_deref_mut())?;
-                    if let Some(t) = telemetry.as_deref_mut() {
-                        t.note_buffer(i, out.len());
-                    }
-                    self.nodes[i].output = Some(out);
+                }
+                if chunk.is_some() {
+                    accumulate_probe(&mut self.nodes[i], &bufs[i]);
                 }
             }
 
@@ -397,9 +348,12 @@ impl Graph {
             }
         }
 
-        if chunk.is_some() {
-            for node in &mut self.nodes {
-                node.block.end_stream()?;
+        for node in &mut self.nodes {
+            node.block.end_stream()?;
+        }
+        if chunk.is_none() {
+            for (node, out) in self.nodes.iter_mut().zip(bufs) {
+                node.output = Some(out);
             }
         }
         Ok(())
@@ -469,68 +423,6 @@ impl Graph {
         }
     }
 
-    /// One batch invocation of node `i`, honoring the plan's breaker
-    /// policy if enabled (finite-guard hits count as block failures).
-    fn invoke_batch(
-        &mut self,
-        plan: &ExecPlan,
-        i: usize,
-        inputs: &[Signal],
-        mut telemetry: Option<&mut Recorder>,
-    ) -> Result<Signal, SimError> {
-        let Some(policy) = plan.breaker_policy() else {
-            let out = self.invoke_batch_raw(i, inputs, telemetry)?;
-            self.check_finite(plan, i, &out)?;
-            return Ok(out);
-        };
-        if !self.breaker_admits(i, &policy)? {
-            self.note_bypass(i, telemetry);
-            return Ok(inputs.first().cloned().unwrap_or_default());
-        }
-        let mut attempt = self.invoke_batch_raw(i, inputs, telemetry.as_deref_mut());
-        if let Ok(out) = &attempt {
-            if let Err(e) = self.check_finite(plan, i, out) {
-                attempt = Err(e);
-            }
-        }
-        match attempt {
-            Ok(out) => {
-                self.state.breakers[i].record_success();
-                Ok(out)
-            }
-            Err(e) => {
-                if self.state.breakers[i].record_failure(&policy) {
-                    self.state.breaker_trips += 1;
-                }
-                if self.bypassable(i) {
-                    self.note_bypass(i, telemetry);
-                    Ok(inputs.first().cloned().unwrap_or_default())
-                } else {
-                    Err(e)
-                }
-            }
-        }
-    }
-
-    /// The raw (breaker-unaware) batch invocation of node `i`.
-    fn invoke_batch_raw(
-        &mut self,
-        i: usize,
-        inputs: &[Signal],
-        telemetry: Option<&mut Recorder>,
-    ) -> Result<Signal, SimError> {
-        match telemetry {
-            Some(t) => {
-                let samples_in: usize = inputs.iter().map(Signal::len).sum();
-                let begin = t.begin();
-                let out = self.nodes[i].block.process(inputs)?;
-                t.record(i, begin, samples_in, out.len());
-                Ok(out)
-            }
-            None => self.nodes[i].block.process(inputs),
-        }
-    }
-
     /// Condition of the most recent run: `Healthy`, `Degraded` (at least
     /// one breaker bypass) or `Failed` (the run returned an error).
     pub fn health(&self) -> Health {
@@ -591,10 +483,22 @@ impl Graph {
         }
     }
 
-    /// Breaker fail-fast for streaming source pulls (sources are never
-    /// bypassable).
-    fn source_fail_fast(&mut self, plan: &ExecPlan, i: usize) -> Result<(), SimError> {
-        if let Some(policy) = plan.breaker_policy() {
+    /// One invocation of source `i` into `out`: its whole pass through
+    /// [`Block::process`] when `max` is `None`, else its next chunk of at
+    /// most `max` samples through [`Block::stream_chunk`]. Returns the
+    /// samples produced. Sources are never bypassable: an open breaker
+    /// fails fast, and every outcome — finite-guard hits included — feeds
+    /// the breaker.
+    fn invoke_source(
+        &mut self,
+        plan: &ExecPlan,
+        i: usize,
+        max: Option<usize>,
+        out: &mut Signal,
+        telemetry: Option<&mut Recorder>,
+    ) -> Result<usize, SimError> {
+        let policy = plan.breaker_policy();
+        if let Some(policy) = &policy {
             if self.state.breakers[i].is_open() {
                 return Err(SimError::BlockFault {
                     block: self.nodes[i].block.name().to_owned(),
@@ -605,20 +509,29 @@ impl Graph {
                 });
             }
         }
-        Ok(())
-    }
-
-    /// Breaker accounting for one streaming source pull.
-    fn note_source_result(&mut self, plan: &ExecPlan, i: usize, failed: bool) {
-        if let Some(policy) = plan.breaker_policy() {
-            if failed {
-                if self.state.breakers[i].record_failure(&policy) {
+        let begin = telemetry.as_ref().map(|t| t.begin());
+        let block = &mut self.nodes[i].block;
+        let pulled = match max {
+            Some(max) => block.stream_chunk(max, out),
+            None => block.process(&[]).map(|pass| {
+                *out = pass;
+                out.len()
+            }),
+        };
+        if let (Some(t), Some(begin), Ok(got)) = (telemetry, begin, &pulled) {
+            t.record(i, begin, 0, *got);
+        }
+        let pulled = pulled.and_then(|got| self.check_finite(plan, i, out).map(|()| got));
+        if let Some(policy) = &policy {
+            if pulled.is_err() {
+                if self.state.breakers[i].record_failure(policy) {
                     self.state.breaker_trips += 1;
                 }
             } else {
                 self.state.breakers[i].record_success();
             }
         }
+        pulled
     }
 
     /// One interior-block chunk invocation, honoring the plan's breaker
@@ -819,11 +732,11 @@ mod tests {
         fn name(&self) -> &str {
             "gain"
         }
-        fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-            let mut s = inputs[0].clone();
+        fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
+            out.copy_from(inputs[0]);
             let gain = self.0;
-            s.map_in_place(|z| z.scale(gain));
-            Ok(s)
+            out.map_in_place(|z| z.scale(gain));
+            Ok(())
         }
     }
 
@@ -835,14 +748,14 @@ mod tests {
         fn input_count(&self) -> usize {
             2
         }
-        fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-            let mut s = inputs[0].clone();
+        fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
+            out.copy_from(inputs[0]);
             for (i, b) in inputs[1].iter().enumerate() {
-                if i < s.len() {
-                    s.set(i, s.get(i) + b);
+                if i < out.len() {
+                    out.set(i, out.get(i) + b);
                 }
             }
-            Ok(s)
+            Ok(())
         }
     }
 
@@ -1090,12 +1003,12 @@ mod tests {
         fn name(&self) -> &str {
             "corruptor"
         }
-        fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-            let mut s = inputs[0].clone();
-            if s.len() > 3 {
-                s.set(3, Complex64::new(f64::NAN, 0.0));
+        fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
+            out.copy_from(inputs[0]);
+            if out.len() > 3 {
+                out.set(3, Complex64::new(f64::NAN, 0.0));
             }
-            Ok(s)
+            Ok(())
         }
     }
 
@@ -1315,7 +1228,7 @@ mod tests {
         fn role(&self) -> BlockRole {
             BlockRole::Impairment
         }
-        fn process(&mut self, _: &[Signal]) -> Result<Signal, SimError> {
+        fn process_chunk(&mut self, _: &[&Signal], _: &mut Signal) -> Result<(), SimError> {
             self.calls += 1;
             Err(SimError::BlockFailure {
                 block: "bad-imp".into(),
@@ -1332,7 +1245,7 @@ mod tests {
         fn name(&self) -> &str {
             "bad-stage"
         }
-        fn process(&mut self, _: &[Signal]) -> Result<Signal, SimError> {
+        fn process_chunk(&mut self, _: &[&Signal], _: &mut Signal) -> Result<(), SimError> {
             self.calls += 1;
             Err(SimError::BlockFailure {
                 block: "bad-stage".into(),
@@ -1506,7 +1419,11 @@ mod tests {
             fn role(&self) -> BlockRole {
                 BlockRole::Impairment
             }
-            fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
+            fn process_chunk(
+                &mut self,
+                inputs: &[&Signal],
+                out: &mut Signal,
+            ) -> Result<(), SimError> {
                 self.calls += 1;
                 if self.calls <= self.failures {
                     return Err(SimError::BlockFailure {
@@ -1514,9 +1431,9 @@ mod tests {
                         message: "warming up".into(),
                     });
                 }
-                let mut s = inputs[0].clone();
-                s.map_in_place(|z| z.scale(2.0));
-                Ok(s)
+                out.copy_from(inputs[0]);
+                out.map_in_place(|z| z.scale(2.0));
+                Ok(())
             }
         }
         let mut g = Graph::new();

@@ -51,11 +51,6 @@ impl Block for PowerMeter {
         "power-meter"
     }
 
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        self.last_power = Some(inputs[0].power());
-        Ok(inputs[0].clone())
-    }
-
     fn begin_stream(&mut self) {
         self.stream_sum = 0.0;
         self.stream_count = 0;
@@ -122,7 +117,7 @@ impl SpectrumAnalyzer {
 
     /// Buffers one chunk of the streaming pass.
     fn stream_accumulate(&mut self, chunk: &Signal) {
-        self.stream_buf.extend_from_slice(&chunk.samples());
+        self.stream_buf.extend(chunk.iter());
         self.stream_rate = chunk.sample_rate();
     }
 
@@ -191,14 +186,6 @@ impl Block for SpectrumAnalyzer {
 
     fn name(&self) -> &str {
         "spectrum-analyzer"
-    }
-
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        self.last = Some((
-            self.psd.estimate(&inputs[0].samples()),
-            inputs[0].sample_rate(),
-        ));
-        Ok(inputs[0].clone())
     }
 
     fn begin_stream(&mut self) {
@@ -296,12 +283,6 @@ impl Block for AcprMeter {
         "acpr-meter"
     }
 
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        let out = self.analyzer.process(inputs)?;
-        self.update_from_analyzer();
-        Ok(out)
-    }
-
     fn begin_stream(&mut self) {
         self.analyzer.stream_begin();
     }
@@ -389,12 +370,6 @@ impl Block for CcdfProbe {
         "ccdf-probe"
     }
 
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        self.last = Some(stats::power_ccdf(&inputs[0].samples(), &self.thresholds_db));
-        self.last_papr_db = Some(inputs[0].papr_db());
-        Ok(inputs[0].clone())
-    }
-
     fn begin_stream(&mut self) {
         self.stream_buf.clear();
         self.stream_active = true;
@@ -402,7 +377,7 @@ impl Block for CcdfProbe {
 
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
         out.copy_from(inputs[0]);
-        self.stream_buf.extend_from_slice(&inputs[0].samples());
+        self.stream_buf.extend(inputs[0].iter());
         Ok(())
     }
 
@@ -530,12 +505,6 @@ impl Block for MaskChecker {
 
     fn name(&self) -> &str {
         "mask-checker"
-    }
-
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        let out = self.analyzer.process(inputs)?;
-        self.evaluate()?;
-        Ok(out)
     }
 
     fn begin_stream(&mut self) {

@@ -87,7 +87,7 @@ impl RappPa {
     /// Reference per-sample implementation via the classic polar
     /// decomposition (`hypot` + `atan2` + `from_polar`) — the retained
     /// scalar path equivalence tests and the `simd_speedup` benchmark
-    /// compare against. Not used by [`Block::process`].
+    /// compare against. Not used by [`Block::process_chunk`].
     pub fn distort_reference(&self, z: Complex64) -> Complex64 {
         let (a, p) = (self.saturation, self.smoothness);
         kernels::distort_polar(
@@ -102,13 +102,6 @@ impl RappPa {
 impl Block for RappPa {
     fn name(&self) -> &str {
         "rapp-pa"
-    }
-
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        let mut out = inputs[0].clone();
-        let (re, im) = out.parts_mut();
-        kernels::rapp_apply_split(re, im, self.gain, self.saturation, self.smoothness);
-        Ok(out)
     }
 
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
@@ -178,7 +171,7 @@ impl SalehPa {
 
     /// Reference per-sample polar implementation — the retained scalar
     /// path equivalence tests and the `simd_speedup` benchmark compare
-    /// against. Not used by [`Block::process`].
+    /// against. Not used by [`Block::process_chunk`].
     pub fn distort_reference(&self, z: Complex64) -> Complex64 {
         let (aa, ba, ap, bp) = (self.alpha_a, self.beta_a, self.alpha_phi, self.beta_phi);
         kernels::distort_polar(
@@ -193,21 +186,6 @@ impl SalehPa {
 impl Block for SalehPa {
     fn name(&self) -> &str {
         "saleh-pa"
-    }
-
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        let mut out = inputs[0].clone();
-        let (re, im) = out.parts_mut();
-        kernels::saleh_apply_split(
-            re,
-            im,
-            self.gain,
-            self.alpha_a,
-            self.beta_a,
-            self.alpha_phi,
-            self.beta_phi,
-        );
-        Ok(out)
     }
 
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
@@ -257,7 +235,7 @@ impl SoftClipPa {
 
     /// Reference per-sample polar implementation — the retained scalar
     /// path equivalence tests and the `simd_speedup` benchmark compare
-    /// against. Not used by [`Block::process`].
+    /// against. Not used by [`Block::process_chunk`].
     pub fn distort_reference(&self, z: Complex64) -> Complex64 {
         let c = self.clip;
         kernels::distort_polar(z, self.gain, |r| r.min(c), |_| 0.0)
@@ -267,13 +245,6 @@ impl SoftClipPa {
 impl Block for SoftClipPa {
     fn name(&self) -> &str {
         "softclip-pa"
-    }
-
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        let mut out = inputs[0].clone();
-        let (re, im) = out.parts_mut();
-        kernels::softclip_apply_split(re, im, self.gain, self.clip);
-        Ok(out)
     }
 
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {

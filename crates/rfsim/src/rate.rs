@@ -39,12 +39,10 @@ impl Block for Upsampler {
         "upsampler"
     }
 
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        let out = self.resampler.process(&inputs[0].samples());
-        Ok(Signal::new(
-            out,
-            inputs[0].sample_rate() * self.factor as f64,
-        ))
+    fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
+        let y = self.resampler.process(&inputs[0].samples());
+        out.assign(&y, inputs[0].sample_rate() * self.factor as f64);
+        Ok(())
     }
 
     fn reset(&mut self) {
@@ -83,12 +81,10 @@ impl Block for Downsampler {
         "downsampler"
     }
 
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        let out = self.resampler.process(&inputs[0].samples());
-        Ok(Signal::new(
-            out,
-            inputs[0].sample_rate() / self.factor as f64,
-        ))
+    fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
+        let y = self.resampler.process(&inputs[0].samples());
+        out.assign(&y, inputs[0].sample_rate() / self.factor as f64);
+        Ok(())
     }
 
     fn reset(&mut self) {
@@ -121,13 +117,6 @@ impl GainBlock {
 impl Block for GainBlock {
     fn name(&self) -> &str {
         "gain"
-    }
-
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        let mut s = inputs[0].clone();
-        let (re, im) = s.parts_mut();
-        ofdm_dsp::kernels::scale_split(re, im, self.gain_linear);
-        Ok(s)
     }
 
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
