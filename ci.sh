@@ -25,6 +25,10 @@ cleanup() {
 }
 trap cleanup EXIT
 
+# A green run must leave the working tree as it found it: every gate
+# writes into temp dirs, never over a tracked file.
+TREE_BEFORE=$(git status --porcelain 2>/dev/null || true)
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
@@ -64,23 +68,28 @@ echo "==> ratio smoke: experiments --emit-bench / --check-bench"
 # gate if any section is missing or malformed, if RTL/behavioral falls
 # below 1x (paper claim C3), or if the simd_speedup gate trips: any
 # standard's batched kernel below 1x of the scalar polar path, 802.11a or
-# DVB-T below 5x, or the family geomean below 3x.
+# DVB-T below 5x, or the family geomean below 3x. The document is emitted
+# to a temp dir (its ratios are wall clock and differ run to run, so
+# writing the tracked BENCH_ofdm.json would dirty the tree); both it and
+# the tracked one are gated after the waterfall smoke below.
+WF_DIR=$(mktemp -d)
 cargo run --release -q -p ofdm-bench --bin experiments -- \
-    --emit-bench BENCH_ofdm.json
+    --emit-bench "$WF_DIR/BENCH_ofdm.json"
 
 echo "==> waterfall smoke: experiments --waterfall"
 # Fixed-seed BER-vs-SNR grid (2 standards x 4 SNR points) through the
 # checkpointed sweep path. The document is byte-stable (BER tallies carry
 # no timing), so it is emitted to a temp dir and must match the tracked
-# waterfall.json exactly; the tracked file is then validated as a
-# --check-bench sibling: finite values, BER in [0, 1], and
-# monotone-descending curves.
-WF_DIR=$(mktemp -d)
+# waterfall.json exactly. --check-bench then gates the fresh and the
+# tracked BENCH_ofdm.json, each with its waterfall.json sibling: finite
+# values, BER in [0, 1], and monotone-descending curves.
 cargo run --release -q -p ofdm-bench --bin experiments -- \
     --waterfall "$WF_DIR/waterfall.json"
 cmp waterfall.json "$WF_DIR/waterfall.json" \
     || { echo "waterfall smoke: BER tallies differ from the tracked waterfall.json" >&2; exit 1; }
 
+cargo run --release -q -p ofdm-bench --bin experiments -- \
+    --check-bench "$WF_DIR/BENCH_ofdm.json"
 cargo run --release -q -p ofdm-bench --bin experiments -- \
     --check-bench BENCH_ofdm.json
 
@@ -186,5 +195,12 @@ ADDR=$(cat "$SMOKE_DIR/kill_port2")
     --addr "$ADDR" --compare-local --out "$SMOKE_DIR/recovered.json"
 ./target/release/rfsim-cli shutdown --addr "$ADDR"
 wait "$SERVER_PID" || { echo "crash smoke: restarted server exited non-zero" >&2; exit 1; }
+
+TREE_AFTER=$(git status --porcelain 2>/dev/null || true)
+if [ "$TREE_BEFORE" != "$TREE_AFTER" ]; then
+    echo "ci.sh: the run changed the working tree:" >&2
+    diff <(echo "$TREE_BEFORE") <(echo "$TREE_AFTER") >&2 || true
+    exit 1
+fi
 
 echo "==> ci.sh: all gates passed"

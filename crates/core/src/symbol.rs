@@ -60,8 +60,8 @@ impl ShapedSymbol {
 /// Reusable scratch for [`SymbolModulator::modulate_into`]: the split
 /// subcarrier grid and the FFT work buffer, grown once and reused per
 /// symbol. The grid is kept as separate re/im arrays so the IFFT runs on
-/// [`ofdm_dsp::fft::Fft::inverse_split_in`] — the radix-4 split path for
-/// power-of-two sizes.
+/// [`ofdm_dsp::fft::Fft::inverse_split_in`] — the split mixed-radix
+/// engine, at every size.
 #[derive(Debug, Clone, Default)]
 pub struct SymbolScratch {
     grid_re: Vec<f64>,
@@ -467,7 +467,7 @@ mod tests {
     #[test]
     fn modulate_into_matches_modulate_exactly() {
         // One scratch and one output buffer reused across configurations —
-        // including Hermitian mirroring and a non-power-of-two (Bluestein)
+        // including Hermitian mirroring and a non-power-of-two (mixed-radix)
         // grid — must be sample-exact with the allocating path.
         let mut scratch = SymbolScratch::new();
         let mut out = ShapedSymbol::default();

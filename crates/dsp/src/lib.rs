@@ -3,9 +3,9 @@
 //! This crate provides every signal-processing primitive the
 //! [Mother Model](https://doi.org/10.1109/DATE.2005.209) reproduction needs,
 //! implemented from scratch (no DSP crates exist in the offline dependency
-//! set): complex arithmetic, fast Fourier transforms for power-of-two *and*
-//! arbitrary lengths (Bluestein), window functions, FIR design and filtering,
-//! rational resampling, a numerically controlled oscillator, pseudo-random
+//! set): complex arithmetic, one mixed-radix fast Fourier transform for
+//! power-of-two *and* arbitrary lengths, window functions, FIR design and
+//! filtering, rational resampling, a numerically controlled oscillator, pseudo-random
 //! binary sequences, and spectral estimation.
 //!
 //! # Example

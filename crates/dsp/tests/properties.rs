@@ -28,7 +28,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Parseval: time-domain energy equals frequency-domain energy / N,
-    /// for radix-2 and Bluestein lengths alike.
+    /// for power-of-two and mixed-radix lengths alike.
     #[test]
     fn fft_parseval(n in 2usize..300, seed in any::<u64>()) {
         let x = signal_from_seed(n, seed);

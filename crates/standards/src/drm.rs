@@ -4,7 +4,8 @@
 //! DRM broadcasts digital audio in the AM bands below 30 MHz with a 12 kHz
 //! baseband sample rate and four *robustness modes* trading guard length
 //! against carrier count. Mode A's 288-sample useful symbol is **not a
-//! power of two** — the Mother Model's Bluestein FFT path exists for DRM.
+//! power of two**: its 288 = 2⁵·3², 176 = 2⁴·11 and 112 = 2⁴·7 points are
+//! why the Mother Model's FFT engine has odd-radix levels.
 //!
 //! Behavioral approximations (documented per DESIGN.md §2): the
 //! gain/frequency/time reference cells are modeled as a boosted scattered
@@ -185,7 +186,7 @@ mod tests {
     }
 
     #[test]
-    fn mode_a_uses_bluestein_grid() {
+    fn mode_a_transmits_on_a_288_point_grid() {
         // The engine must handle the 288-point transform transparently.
         let mut tx = MotherModel::new(params(RobustnessMode::A)).unwrap();
         let frame = tx.transmit(&[1u8; 100]).unwrap();

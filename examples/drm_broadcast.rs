@@ -4,7 +4,7 @@
 //! demodulated with pilot-based channel estimation.
 //!
 //! DRM robustness mode A uses a 288-point transform — not a power of two —
-//! exercising the Bluestein FFT path end to end.
+//! exercising the FFT's mixed-radix (4·4·3·3·2) levels end to end.
 //!
 //! Run with: `cargo run --release --example drm_broadcast`
 
@@ -24,9 +24,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "  Tu = {} samples ({}), guard = {}, carriers = {}",
             mode.fft_size(),
             if mode.fft_size().is_power_of_two() {
-                "radix-2"
+                "power of two"
             } else {
-                "Bluestein"
+                "mixed radix"
             },
             mode.guard_samples(),
             params.map.data_count(),

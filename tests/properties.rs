@@ -25,7 +25,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// FFT forward matches the O(N²) DFT oracle for arbitrary lengths,
-    /// including the Bluestein path.
+    /// including the odd-radix levels.
     #[test]
     fn fft_matches_naive_dft(
         n in 2usize..96,
