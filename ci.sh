@@ -54,6 +54,13 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+echo "==> workspace tests: every crate's own unit and integration tests"
+# Tier-1 runs only the root package's tests. The crates carry their own:
+# ofdm-dsp's FFT pins and naive-DFT cross-checks, ofdm-rx's receiver and
+# demodulator tests, ofdm-standards' preset checks, and the rest. The
+# root package is excluded here because tier-1 just ran it.
+cargo test --workspace --exclude ofdm-ip-family -q
+
 echo "==> rfsim-bench tests: the benchmark's own use of the library"
 # rfsim-bench is a separate package (its own workspace and lock file), so
 # tier-1 never builds it; a library change that breaks its use of

@@ -137,8 +137,19 @@ impl Modulation {
     /// Hard-decision demapping: returns the bits of the nearest
     /// constellation point.
     pub fn demap_hard(self, z: Complex64) -> Vec<u8> {
+        let mut bits = Vec::with_capacity(self.bits_per_symbol());
+        self.demap_hard_into(z, &mut bits);
+        bits
+    }
+
+    /// Hard-decision demapping that appends the bits of the nearest
+    /// constellation point to `out` (MSB first, I bits then Q bits) —
+    /// the allocation-free form of [`Modulation::demap_hard`] a receiver
+    /// uses to demap a whole frame into one buffer.
+    pub fn demap_hard_into(self, z: Complex64, out: &mut Vec<u8>) {
         if self == Modulation::Bpsk {
-            return vec![u8::from(z.re >= 0.0)];
+            out.push(u8::from(z.re >= 0.0));
+            return;
         }
         let (mi, mq) = self.axis_levels();
         let norm = self.energy_norm();
@@ -154,14 +165,8 @@ impl Modulation {
         } else {
             0
         };
-        let mut bits = Vec::with_capacity(bi + bq);
-        for k in (0..bi).rev() {
-            bits.push(((gi >> k) & 1) as u8);
-        }
-        for k in (0..bq).rev() {
-            bits.push(((gq >> k) & 1) as u8);
-        }
-        bits
+        out.extend((0..bi).rev().map(|k| ((gi >> k) & 1) as u8));
+        out.extend((0..bq).rev().map(|k| ((gq >> k) & 1) as u8));
     }
 
     /// All constellation points, in bit-pattern order (useful for EVM

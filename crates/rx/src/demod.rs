@@ -2,19 +2,46 @@
 
 use ofdm_core::params::OfdmParams;
 use ofdm_core::pilots::PilotGenerator;
-use ofdm_dsp::fft::Fft;
+use ofdm_dsp::fft::{self, Fft, FftScratch};
 use ofdm_dsp::Complex64;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Demodulates the OFDM symbols of a frame back to frequency-domain cells,
 /// mirroring the transmitter's normalization so that noiseless loopback
 /// recovers the transmitted cells exactly.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct OfdmDemodulator {
-    fft: Fft,
+    /// The process-wide cached plan for this FFT length.
+    fft: Arc<Fft>,
     fft_size: usize,
     cp_len: usize,
     pilots: PilotGenerator,
     params: OfdmParams,
+    /// Window buffer and FFT scratch reused by the `&self` entry points,
+    /// so a symbol allocates nothing but the cell list it returns.
+    work: Mutex<Spectrum>,
+}
+
+impl Clone for OfdmDemodulator {
+    /// A demodulator on the same plan, with its own (fresh) work buffers.
+    fn clone(&self) -> Self {
+        OfdmDemodulator {
+            fft: Arc::clone(&self.fft),
+            fft_size: self.fft_size,
+            cp_len: self.cp_len,
+            pilots: self.pilots.clone(),
+            params: self.params.clone(),
+            work: Mutex::default(),
+        }
+    }
+}
+
+/// One symbol's FFT window and the scratch its transform reuses: held
+/// across symbols, it makes demodulation allocation-free after the first.
+#[derive(Debug, Default)]
+pub(crate) struct Spectrum {
+    bins: Vec<Complex64>,
+    scratch: FftScratch,
 }
 
 impl OfdmDemodulator {
@@ -23,17 +50,34 @@ impl OfdmDemodulator {
         let fft_size = params.map.fft_size();
         let cp_len = params.guard.samples(fft_size);
         OfdmDemodulator {
-            fft: Fft::new(fft_size),
+            fft: fft::plan(fft_size),
             fft_size,
             cp_len,
             pilots: PilotGenerator::new(params.pilots.clone()),
             params,
+            work: Mutex::default(),
         }
     }
 
     /// Net samples per OFDM symbol (guard + useful part).
     pub fn symbol_len(&self) -> usize {
         self.fft_size + self.cp_len
+    }
+
+    /// Locks the work buffers. A panic mid-call cannot leave them invalid:
+    /// every call clears and refills the window, and the scratch carries no
+    /// state between transforms.
+    fn work(&self) -> MutexGuard<'_, Spectrum> {
+        self.work.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The FFT bin of signed carrier `k`.
+    pub(crate) fn bin(&self, k: i32) -> usize {
+        if k >= 0 {
+            k as usize
+        } else {
+            (self.fft_size as i32 + k) as usize
+        }
     }
 
     /// The CP-stripped FFT window `[start, start + fft_size)` for a symbol
@@ -46,16 +90,49 @@ impl OfdmDemodulator {
         Some(start)
     }
 
-    /// Gathers the FFT window from split re/im slices into the interleaved
-    /// complex buffer the (radix-2) complex engine expects. Gathering and
-    /// using `Fft::forward` keeps the split entry points bit-identical to
-    /// the `&[Complex64]` ones — the radix-4 split engine is only
-    /// equivalent to last-ulp reassociation, which would break the
-    /// registry-wide bit-exactness assertions.
-    fn gather_window(&self, re: &[f64], im: &[f64], start: usize) -> Vec<Complex64> {
-        (start..start + self.fft_size)
-            .map(|i| Complex64::new(re[i], im[i]))
-            .collect()
+    /// Forward-transforms the CP-stripped window of the symbol at `offset`
+    /// into `spectrum` and returns its bins (unnormalized), or `None` if
+    /// the slices are too short.
+    ///
+    /// The window is gathered from the split re/im slices into the
+    /// interleaved buffer of the complex [`Fft::forward_in`]: at powers of
+    /// two that runs the complex radix-2 engine, whose exact bits the
+    /// receiver's pinned outputs (`waterfall.json`, the waterfall golden,
+    /// the lab documents) depend on. The split engine agrees with it only
+    /// to last-ulp reassociation.
+    pub(crate) fn spectrum<'a>(
+        &self,
+        re: &[f64],
+        im: &[f64],
+        offset: usize,
+        spectrum: &'a mut Spectrum,
+    ) -> Option<&'a [Complex64]> {
+        let start = self.window_start(re.len().min(im.len()), offset)?;
+        let end = start + self.fft_size;
+        spectrum.bins.clear();
+        spectrum.bins.extend(
+            re[start..end]
+                .iter()
+                .zip(&im[start..end])
+                .map(|(&r, &i)| Complex64::new(r, i)),
+        );
+        self.fft
+            .forward_in(&mut spectrum.bins, &mut spectrum.scratch);
+        Some(&spectrum.bins)
+    }
+
+    /// The transmitter-normalization inverse for a symbol carrying
+    /// `carriers` cells: TX scaled by fft_size/√occupied and the forward
+    /// FFT multiplies by fft_size again, so cells are multiplied by
+    /// √occupied / fft_size (occupied counts the mirror half of a
+    /// Hermitian map).
+    pub(crate) fn cell_scale(&self, carriers: usize) -> f64 {
+        let occupied = if self.params.map.is_hermitian() {
+            carriers * 2
+        } else {
+            carriers
+        };
+        (occupied.max(1) as f64).sqrt() / self.fft_size as f64
     }
 
     /// All occupied carriers of data symbol `symbol_index`, sorted.
@@ -71,25 +148,10 @@ impl OfdmDemodulator {
     /// Extracts `(carrier, value)` cells from a forward-FFT'd symbol,
     /// undoing the transmitter normalization.
     fn extract_cells(&self, freq: &[Complex64], carriers: &[i32]) -> Vec<(i32, Complex64)> {
-        // TX scaled by fft_size/√occupied; forward FFT multiplies by
-        // fft_size again, so divide by fft_size·(fft_size/√occ)⁻¹ → i.e.
-        // multiply by √occ / fft_size.
-        let occupied = if self.params.map.is_hermitian() {
-            carriers.len() * 2
-        } else {
-            carriers.len()
-        };
-        let scale = (occupied.max(1) as f64).sqrt() / self.fft_size as f64;
+        let scale = self.cell_scale(carriers.len());
         carriers
             .iter()
-            .map(|&k| {
-                let bin = if k >= 0 {
-                    k as usize
-                } else {
-                    (self.fft_size as i32 + k) as usize
-                };
-                (k, freq[bin].scale(scale))
-            })
+            .map(|&k| (k, freq[self.bin(k)].scale(scale)))
             .collect()
     }
 
@@ -105,9 +167,12 @@ impl OfdmDemodulator {
         symbol_index: usize,
     ) -> Option<Vec<(i32, Complex64)>> {
         let start = self.window_start(samples.len(), offset)?;
-        let mut freq = samples[start..start + self.fft_size].to_vec();
-        self.fft.forward(&mut freq);
-        Some(self.extract_cells(&freq, &self.symbol_carriers(symbol_index)))
+        let mut work = self.work();
+        let Spectrum { bins, scratch } = &mut *work;
+        bins.clear();
+        bins.extend_from_slice(&samples[start..start + self.fft_size]);
+        self.fft.forward_in(bins, scratch);
+        Some(self.extract_cells(bins, &self.symbol_carriers(symbol_index)))
     }
 
     /// Split-slice variant of [`OfdmDemodulator::demodulate_at`]: reads the
@@ -124,32 +189,15 @@ impl OfdmDemodulator {
         offset: usize,
         symbol_index: usize,
     ) -> Option<Vec<(i32, Complex64)>> {
-        let start = self.window_start(re.len().min(im.len()), offset)?;
-        let mut freq = self.gather_window(re, im, start);
-        self.fft.forward(&mut freq);
-        Some(self.extract_cells(&freq, &self.symbol_carriers(symbol_index)))
+        let mut work = self.work();
+        let freq = self.spectrum(re, im, offset, &mut work)?;
+        Some(self.extract_cells(freq, &self.symbol_carriers(symbol_index)))
     }
 
-    /// Demodulates an arbitrary carrier set at `samples[offset]` (guard
-    /// stripped, transmitter normalization undone) — used to recover
-    /// received preamble/reference symbols whose cell layout differs from
-    /// data symbols.
-    ///
-    /// Returns `None` if the slice is too short.
-    pub fn demodulate_carriers(
-        &self,
-        samples: &[Complex64],
-        offset: usize,
-        carriers: &[i32],
-    ) -> Option<Vec<(i32, Complex64)>> {
-        let start = self.window_start(samples.len(), offset)?;
-        let mut freq = samples[start..start + self.fft_size].to_vec();
-        self.fft.forward(&mut freq);
-        Some(self.extract_cells(&freq, carriers))
-    }
-
-    /// Split-slice variant of [`OfdmDemodulator::demodulate_carriers`];
-    /// bit-identical to the interleaved entry point.
+    /// Demodulates an arbitrary carrier set of the symbol at `offset` in
+    /// split re/im slices (guard stripped, transmitter normalization
+    /// undone) — used to recover received preamble/reference symbols whose
+    /// cell layout differs from data symbols.
     ///
     /// Returns `None` if the slices are too short.
     pub fn demodulate_carriers_parts(
@@ -159,10 +207,9 @@ impl OfdmDemodulator {
         offset: usize,
         carriers: &[i32],
     ) -> Option<Vec<(i32, Complex64)>> {
-        let start = self.window_start(re.len().min(im.len()), offset)?;
-        let mut freq = self.gather_window(re, im, start);
-        self.fft.forward(&mut freq);
-        Some(self.extract_cells(&freq, carriers))
+        let mut work = self.work();
+        let freq = self.spectrum(re, im, offset, &mut work)?;
+        Some(self.extract_cells(freq, carriers))
     }
 
     /// The data carriers of symbol `symbol_index` (used band minus that
@@ -175,6 +222,11 @@ impl OfdmDemodulator {
     /// The pilot cells the transmitter placed in symbol `symbol_index`.
     pub fn pilot_cells(&self, symbol_index: usize) -> Vec<(i32, Complex64)> {
         self.pilots.cells(symbol_index)
+    }
+
+    /// The pilot generator matched to the transmitter's.
+    pub(crate) fn pilots(&self) -> &PilotGenerator {
+        &self.pilots
     }
 
     /// The parameter set this demodulator was built from.
@@ -251,22 +303,33 @@ mod tests {
         let im: Vec<f64> = samples.iter().map(|z| z.im).collect();
         let demod = OfdmDemodulator::new(params);
         let sym_len = demod.symbol_len();
+        let fft = Fft::new(64);
         for s in 0..frame.symbol_cells().len() {
             let a = demod.demodulate_at(&samples, s * sym_len, s).unwrap();
             let b = demod.demodulate_at_parts(&re, &im, s * sym_len, s).unwrap();
             assert_eq!(a, b, "symbol {s} must be bit-identical across layouts");
+            // An arbitrary carrier set against a gathered copy through a
+            // fresh, uncached plan.
             let carriers = demod.data_carriers(s);
-            let c = demod
-                .demodulate_carriers(&samples, s * sym_len, &carriers)
-                .unwrap();
-            let d = demod
+            let start = s * sym_len + 16;
+            let mut window = samples[start..start + 64].to_vec();
+            fft.forward(&mut window);
+            let scale = (carriers.len() as f64).sqrt() / 64.0;
+            let want: Vec<(i32, Complex64)> = carriers
+                .iter()
+                .map(|&k| (k, window[k.rem_euclid(64) as usize].scale(scale)))
+                .collect();
+            let got = demod
                 .demodulate_carriers_parts(&re, &im, s * sym_len, &carriers)
                 .unwrap();
-            assert_eq!(c, d, "symbol {s} carrier set must match bit-exactly");
+            assert_eq!(got, want, "symbol {s} carrier set must match bit-exactly");
         }
         // Too-short slices behave identically too.
         assert!(demod
             .demodulate_at_parts(&re[..40], &im[..40], 0, 0)
+            .is_none());
+        assert!(demod
+            .demodulate_carriers_parts(&re[..40], &im[..40], 0, &[1])
             .is_none());
     }
 

@@ -6,13 +6,23 @@
 //! any parameter set the transmitter accepts. Used by E1 (reconfiguration
 //! proof: BER = 0 loopback over all ten standards) and E6 (impairment
 //! sweeps).
+//!
+//! Like the transmitter's `SymbolPlan`s, the carrier layout is worked out
+//! once: [`ReferenceReceiver::new`] builds one receive plan per pilot
+//! position phase (each data carrier's FFT bin, modulation and dense
+//! slot, plus the pilot bins), and [`ReferenceReceiver::set_channel_estimate`]
+//! turns the estimate into one equalizer tap per slot. A symbol is then
+//! one gather and FFT into held buffers, followed by a walk over the
+//! planned bins — no per-symbol carrier filtering, searching or
+//! allocation.
 
-use crate::demod::OfdmDemodulator;
-use crate::eq::{equalize, ChannelEstimate};
+use crate::demod::{OfdmDemodulator, Spectrum};
+use crate::eq::ChannelEstimate;
 use crate::fec::ViterbiDecoder;
+use ofdm_core::constellation::Modulation;
 use ofdm_core::fec::rs::RsError;
 use ofdm_core::fec::ReedSolomon;
-use ofdm_core::framing::preamble_len;
+use ofdm_core::framing::{preamble_len, PreambleElement};
 use ofdm_core::interleave::Interleaver;
 use ofdm_core::params::OfdmParams;
 use ofdm_core::scramble::Scrambler;
@@ -20,7 +30,6 @@ use ofdm_core::symbol::SymbolModulator;
 use ofdm_dsp::bits::{pack_msb_first, unpack_msb_first};
 use ofdm_dsp::Complex64;
 use rfsim::Signal;
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -68,12 +77,49 @@ pub struct ReferenceReceiver {
     viterbi: Option<ViterbiDecoder>,
     rs: Option<ReedSolomon>,
     interleaver: Interleaver,
-    /// When set, cells are equalized before demapping.
-    channel: Option<ChannelEstimate>,
+    /// Per-phase receive plans, indexed by
+    /// `symbol_index % pilots.position_period()`.
+    plans: Vec<ReceivePlan>,
+    /// The carrier behind each dense slot: every data carrier of the map
+    /// and every pilot carrier of any phase, ascending.
+    slot_carriers: Vec<i32>,
+    /// One-tap equalizer per slot, `1/H(k)`, when a channel estimate is
+    /// installed; `None` in a slot whose gain is too small to invert
+    /// (the cell is left unequalized).
+    equalizer: Option<Vec<Option<Complex64>>>,
+    /// Differential reference per slot (differential standards only).
+    diff_ref: Vec<Complex64>,
+    /// The FFT window and scratch reused by every symbol.
+    spectrum: Spectrum,
+    /// The current symbol's expected pilot cells (pilot tracking).
+    pilot_cells: Vec<(i32, Complex64)>,
     /// Pilot-based common-phase-error correction per symbol.
     pilot_tracking: bool,
     /// Carrier-frequency-offset estimate in Hz, derotated before demod.
     cfo_hz: f64,
+}
+
+/// The receive-side twin of the transmitter's `SymbolPlan`: what one
+/// pilot-position phase's symbols carry, precomputed.
+#[derive(Debug)]
+struct ReceivePlan {
+    /// Undoes the transmitter normalization and the FFT gain for this
+    /// phase's occupied-carrier count (pilots + data).
+    scale: f64,
+    /// `(bin, slot)` of each pilot, in the generator's (carrier) order.
+    pilots: Vec<(usize, usize)>,
+    /// The data carriers that survive pilot displacement, ascending.
+    data: Vec<PlannedCell>,
+    /// Coded bits one symbol of this phase carries.
+    bits: usize,
+}
+
+/// One data carrier of a [`ReceivePlan`].
+#[derive(Debug, Clone, Copy)]
+struct PlannedCell {
+    bin: usize,
+    slot: usize,
+    modulation: Modulation,
 }
 
 impl ReferenceReceiver {
@@ -98,14 +144,69 @@ impl ReferenceReceiver {
         let rs = params.rs_outer.map(|spec| ReedSolomon::new(spec.n, spec.k));
         let interleaver = Interleaver::new(params.interleaver.clone())
             .map_err(|e| RxError::BadConfig(e.to_string()))?;
+        let demod = OfdmDemodulator::new(params.clone());
+        let pilots = demod.pilots();
+        let phase_pilots: Vec<Vec<i32>> = (0..pilots.position_period())
+            .map(|phase| pilots.carriers(phase))
+            .collect();
+        let all_data = params.map.data_carriers();
+        let mut slot_carriers: Vec<i32> = all_data.to_vec();
+        slot_carriers.extend(phase_pilots.iter().flatten());
+        slot_carriers.sort_unstable();
+        slot_carriers.dedup();
+        let slot = |k: i32| {
+            slot_carriers
+                .binary_search(&k)
+                .expect("every planned carrier has a slot")
+        };
+        let plans = phase_pilots
+            .iter()
+            .map(|pilot_carriers| {
+                let data: Vec<PlannedCell> = params
+                    .map
+                    .data_excluding(pilot_carriers)
+                    .into_iter()
+                    .map(|k| {
+                        // Bit loading is indexed by the carrier's position
+                        // in the full (un-displaced) data list, as on the
+                        // transmit side.
+                        let idx = all_data.binary_search(&k).expect("carrier from map");
+                        PlannedCell {
+                            bin: demod.bin(k),
+                            slot: slot(k),
+                            modulation: params.modulation.modulation_at(idx),
+                        }
+                    })
+                    .collect();
+                ReceivePlan {
+                    scale: demod.cell_scale(pilot_carriers.len() + data.len()),
+                    bits: data.iter().map(|c| c.modulation.bits_per_symbol()).sum(),
+                    pilots: pilot_carriers
+                        .iter()
+                        .map(|&k| (demod.bin(k), slot(k)))
+                        .collect(),
+                    data,
+                }
+            })
+            .collect();
+        let diff_ref = if params.differential {
+            vec![Complex64::ONE; slot_carriers.len()]
+        } else {
+            Vec::new()
+        };
         Ok(ReferenceReceiver {
-            demod: OfdmDemodulator::new(params.clone()),
+            demod,
             params,
             preamble_samples,
             viterbi,
             rs,
             interleaver,
-            channel: None,
+            plans,
+            slot_carriers,
+            equalizer: None,
+            diff_ref,
+            spectrum: Spectrum::default(),
+            pilot_cells: Vec::new(),
             pilot_tracking: false,
             cfo_hz: 0.0,
         })
@@ -139,14 +240,24 @@ impl ReferenceReceiver {
         self.cfo_hz
     }
 
-    /// Installs a channel estimate applied (one-tap) before demapping.
+    /// Installs a channel estimate applied (one-tap) before demapping:
+    /// each cell is multiplied by `1/H(k)`, except where `|H(k)| ≤ 1e-9`
+    /// (a deep null, left unequalized rather than blown up).
     pub fn set_channel_estimate(&mut self, est: ChannelEstimate) {
-        self.channel = Some(est);
+        let taps = self
+            .slot_carriers
+            .iter()
+            .map(|&k| {
+                let h = est.gain_at(k);
+                (h.abs() > 1e-9).then(|| h.inv())
+            })
+            .collect();
+        self.equalizer = Some(taps);
     }
 
     /// Removes any installed channel estimate.
     pub fn clear_channel_estimate(&mut self) {
-        self.channel = None;
+        self.equalizer = None;
     }
 
     /// Samples the frame's preamble occupies.
@@ -194,10 +305,66 @@ impl ReferenceReceiver {
     ///   required symbols.
     /// * [`RxError::Uncorrectable`] when the outer code fails.
     pub fn receive(&mut self, signal: &Signal, payload_bits: usize) -> Result<Vec<u8>, RxError> {
+        let padded_len = self.padded_len(payload_bits);
+        let mut bits = Vec::with_capacity(padded_len);
+        self.demap_frame(signal, payload_bits, |m, z| m.demap_hard_into(z, &mut bits))?;
+        bits.truncate(padded_len);
+        // Undo interleaving, inner code, outer code, scrambling.
+        let mut bits = self.interleaver.deinterleave(&bits);
+        bits.truncate(self.coded_len(payload_bits));
+        if let Some(v) = &self.viterbi {
+            let pre_conv = self.pre_conv_len(payload_bits);
+            bits = v.decode_terminated(&bits, pre_conv);
+        }
+        if let Some(rs) = &self.rs {
+            let bytes = pack_msb_first(&bits);
+            let mut decoded = Vec::with_capacity(bytes.len() / rs.n() * rs.k());
+            for block in bytes.chunks(rs.n()) {
+                if block.len() == rs.n() {
+                    decoded.extend(rs.decode(block)?);
+                }
+            }
+            bits = unpack_msb_first(&decoded);
+        }
+        if let Some(spec) = &self.params.scrambler {
+            let mut scr = Scrambler::new(spec.clone());
+            bits = scr.scramble(&bits);
+        }
+        bits.truncate(payload_bits);
+        Ok(bits)
+    }
+
+    /// Coded bits after interleaver padding for a `payload_bits` payload.
+    fn padded_len(&self, payload_bits: usize) -> usize {
+        let coded_len = self.coded_len(payload_bits);
+        match self.interleaver.spec().block_len() {
+            Some(block) => coded_len.div_ceil(block) * block,
+            None => coded_len,
+        }
+    }
+
+    /// Demodulates the data symbols of a frame carrying `payload_bits`
+    /// payload bits and hands `demap` each data cell with its modulation,
+    /// in demapping order, once scaled, equalized, pilot-tracked and
+    /// differentially decoded: the decision cells
+    /// [`ReferenceReceiver::receive`] hard-demaps. Stops after the symbol
+    /// that completes the coded, interleaver-padded bit count.
+    ///
+    /// # Errors
+    ///
+    /// [`RxError::SignalTooShort`] when the waveform cannot hold the
+    /// required symbols.
+    pub fn demap_frame(
+        &mut self,
+        signal: &Signal,
+        payload_bits: usize,
+        mut demap: impl FnMut(Modulation, Complex64),
+    ) -> Result<(), RxError> {
+        let padded_len = self.padded_len(payload_bits);
         // Hot path runs on the Signal's native split re/im layout — no
-        // whole-frame Vec<Complex64> materialization (ROADMAP item 1
-        // follow-on). A CFO estimate is the one case that still needs an
-        // owned copy: the derotation must not mutate the caller's signal.
+        // whole-frame Vec<Complex64> materialization. A CFO estimate is
+        // the one case that still needs an owned copy: the derotation must
+        // not mutate the caller's signal.
         let (sig_re, sig_im) = signal.parts();
         let derotated: Option<(Vec<f64>, Vec<f64>)> = if self.cfo_hz != 0.0 {
             let fs = signal.sample_rate();
@@ -219,124 +386,96 @@ impl ReferenceReceiver {
             None => (sig_re, sig_im),
         };
         let total = signal.len();
-        let coded_len = self.coded_len(payload_bits);
-        let padded_len = match self.interleaver.spec().block_len() {
-            Some(block) => coded_len.div_ceil(block) * block,
-            None => coded_len,
+        let sym_len = self.demod.symbol_len();
+        let too_short = |offset: usize| RxError::SignalTooShort {
+            got: total,
+            needed: offset + sym_len,
         };
 
-        // Differential reference: demodulate the *received* phase-reference
-        // preamble symbol. Dividing by received (not transmitted) cells
-        // makes any static channel cancel in the differential ratio — the
-        // property differential systems exist for.
-        let mut diff_ref: HashMap<i32, Complex64> = HashMap::new();
+        // Differential reference: the *received* phase-reference preamble
+        // cells. Dividing by received (not transmitted) cells makes any
+        // static channel cancel in the differential ratio — the property
+        // differential systems exist for.
         if self.params.differential {
-            let sym_total = self.demod.symbol_len();
+            self.diff_ref.fill(Complex64::ONE);
             let mut element_offset = 0usize;
             for element in &self.params.preamble {
-                use ofdm_core::framing::PreambleElement;
                 match element {
                     PreambleElement::Null { len } => element_offset += len,
                     PreambleElement::TimeDomain(s) => element_offset += s.len(),
                     PreambleElement::FreqDomain { cells } => {
-                        let carriers: Vec<i32> = cells.iter().map(|c| c.0).collect();
-                        let received = self
+                        let freq = self
                             .demod
-                            .demodulate_carriers_parts(re, im, element_offset, &carriers)
-                            .ok_or(RxError::SignalTooShort {
-                                got: total,
-                                needed: element_offset + sym_total,
-                            })?;
-                        for (k, v) in received {
-                            diff_ref.insert(k, v);
+                            .spectrum(re, im, element_offset, &mut self.spectrum)
+                            .ok_or_else(|| too_short(element_offset))?;
+                        let scale = self.demod.cell_scale(cells.len());
+                        for &(k, _) in cells {
+                            if let Ok(slot) = self.slot_carriers.binary_search(&k) {
+                                self.diff_ref[slot] = freq[self.demod.bin(k)].scale(scale);
+                            }
                         }
-                        element_offset += sym_total;
+                        element_offset += sym_len;
                     }
                 }
             }
         }
 
-        // Collect hard bits symbol by symbol.
-        let sym_len = self.demod.symbol_len();
-        let mut bits: Vec<u8> = Vec::with_capacity(padded_len);
+        // Demap symbol by symbol. Every cell is scaled, equalized,
+        // derotated by pilot tracking and differentially decoded in that
+        // order, and the pilot sum runs in carrier order: the floating-point
+        // order the pinned BER documents were produced with, which
+        // tests/receiver_plans.rs holds bit for bit.
+        let mut demapped = 0usize;
         let mut offset = self.preamble_samples;
         let mut symbol_index = 0usize;
-        while bits.len() < padded_len {
-            let cells = self
+        while demapped < padded_len {
+            let freq = self
                 .demod
-                .demodulate_at_parts(re, im, offset, symbol_index)
-                .ok_or(RxError::SignalTooShort {
-                    got: total,
-                    needed: offset + sym_len,
-                })?;
-            let mut cells = match &self.channel {
-                Some(est) => equalize(&cells, est),
-                None => cells,
+                .spectrum(re, im, offset, &mut self.spectrum)
+                .ok_or_else(|| too_short(offset))?;
+            let plan = &self.plans[symbol_index % self.plans.len()];
+            let equalizer = self.equalizer.as_deref();
+            let cell = |bin: usize, slot: usize| {
+                let y = freq[bin].scale(plan.scale);
+                match equalizer.and_then(|taps| taps[slot]) {
+                    Some(inv) => y * inv,
+                    None => y,
+                }
             };
+            let mut derotate = None;
             if self.pilot_tracking {
-                let expected = self.demod.pilot_cells(symbol_index);
+                self.pilot_cells.clear();
+                self.demod
+                    .pilots()
+                    .cells_into(symbol_index, &mut self.pilot_cells);
                 let mut acc = Complex64::ZERO;
-                for &(k, want) in &expected {
-                    if let Some(&(_, got)) = cells.iter().find(|c| c.0 == k) {
-                        acc += got * want.conj();
-                    }
+                for (&(bin, slot), &(_, want)) in plan.pilots.iter().zip(&self.pilot_cells) {
+                    acc += cell(bin, slot) * want.conj();
                 }
                 if acc.abs() > 1e-12 {
-                    let derotate = Complex64::cis(-acc.arg());
-                    for c in cells.iter_mut() {
-                        c.1 *= derotate;
-                    }
+                    derotate = Some(Complex64::cis(-acc.arg()));
                 }
             }
-            let data_carriers = self.demod.data_carriers(symbol_index);
-            let all_data = self.params.map.data_carriers();
-            for &k in &data_carriers {
-                let idx = all_data.binary_search(&k).expect("carrier from map");
-                let modulation = self.params.modulation.modulation_at(idx);
-                let mut value = cells
-                    .iter()
-                    .find(|c| c.0 == k)
-                    .expect("demodulator returns every carrier")
-                    .1;
+            for c in &plan.data {
+                let mut value = cell(c.bin, c.slot);
+                if let Some(r) = derotate {
+                    value *= r;
+                }
                 if self.params.differential {
-                    let prev = diff_ref.get(&k).copied().unwrap_or(Complex64::ONE);
                     let decided = value;
-                    value *= prev.inv();
-                    diff_ref.insert(k, decided);
+                    value *= self.diff_ref[c.slot].inv();
+                    self.diff_ref[c.slot] = decided;
                 }
-                bits.extend(modulation.demap_hard(value));
+                demap(c.modulation, value);
             }
+            demapped += plan.bits;
             offset += sym_len;
             symbol_index += 1;
-            if data_carriers.is_empty() {
+            if plan.data.is_empty() {
                 break;
             }
         }
-        bits.truncate(padded_len);
-
-        // Undo interleaving, inner code, outer code, scrambling.
-        let mut bits = self.interleaver.deinterleave(&bits);
-        bits.truncate(coded_len);
-        if let Some(v) = &self.viterbi {
-            let pre_conv = self.pre_conv_len(payload_bits);
-            bits = v.decode_terminated(&bits, pre_conv);
-        }
-        if let Some(rs) = &self.rs {
-            let bytes = pack_msb_first(&bits);
-            let mut decoded = Vec::with_capacity(bytes.len() / rs.n() * rs.k());
-            for block in bytes.chunks(rs.n()) {
-                if block.len() == rs.n() {
-                    decoded.extend(rs.decode(block)?);
-                }
-            }
-            bits = unpack_msb_first(&decoded);
-        }
-        if let Some(spec) = &self.params.scrambler {
-            let mut scr = Scrambler::new(spec.clone());
-            bits = scr.scramble(&bits);
-        }
-        bits.truncate(payload_bits);
-        Ok(bits)
+        Ok(())
     }
 
     /// Bit count entering the convolutional encoder (after scrambling and

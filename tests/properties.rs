@@ -71,7 +71,13 @@ proptest! {
             .collect();
         let z = m.map(&bits);
         prop_assert!(z.abs() < 2.0, "unit-energy constellations stay bounded");
-        prop_assert_eq!(m.demap_hard(z), bits);
+        prop_assert_eq!(m.demap_hard(z), bits.clone());
+        // The appending form writes the same bits after whatever the
+        // buffer already holds.
+        let mut out = vec![7u8];
+        m.demap_hard_into(z, &mut out);
+        prop_assert_eq!(out[0], 7u8);
+        prop_assert_eq!(&out[1..], &bits[..]);
     }
 
     /// Scrambling twice is the identity for arbitrary payloads.
