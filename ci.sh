@@ -35,12 +35,14 @@ cargo fmt --all --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> clippy fault-path gate: no unwrap/panic in rfsim + core lib code"
+echo "==> clippy fault-path gate: no unwrap/panic in rfsim, core, rx + dsp lib code"
 # Execution paths through Graph::execute / SweepPlan must degrade via
-# typed SimError values, never unwind. Only the library
+# typed SimError values, never unwind. The receiver and the DSP substrate
+# run inside SweepPlan's waterfall points and share the transmitter's
+# process-wide tables, so they are held to the same rule. Only the library
 # targets are gated (--lib skips #[cfg(test)] modules, integration tests
 # and benches, which are free to unwrap/assert).
-cargo clippy -p rfsim -p ofdm-core --lib -- \
+cargo clippy -p rfsim -p ofdm-core -p ofdm-rx -p ofdm-dsp --lib -- \
     -D warnings -D clippy::unwrap_used -D clippy::panic
 cargo clippy -p ofdm-bench --lib -- \
     -D warnings -D clippy::unwrap_used -D clippy::panic

@@ -8,11 +8,19 @@
 //!
 //! All constellations are normalized to unit average symbol energy so that
 //! reconfiguration never changes transmit power.
+//!
+//! [`Modulation::map`] defines the mapping; the transmitter reads points
+//! from tables instead. A point's I value depends only on the I bits
+//! and its Q value only on the Q bits (the energy normalization divides
+//! each component separately), so one I table and one Q table per bit
+//! loading, filled from `map` itself once per process, reproduce every
+//! point bit for bit.
 
 use ofdm_dsp::bits::{binary_to_gray, gray_to_binary};
 use ofdm_dsp::Complex64;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A constellation choice for one or all subcarriers.
 ///
@@ -134,6 +142,15 @@ impl Modulation {
         Complex64::new(re, im) / self.energy_norm()
     }
 
+    /// This bit loading's axis tables.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the modulation [`is valid`](Modulation::is_valid).
+    pub(crate) fn axes(self) -> &'static AxisTables {
+        &axis_tables()[self.bits_per_symbol() - 1]
+    }
+
     /// Hard-decision demapping: returns the bits of the nearest
     /// constellation point.
     pub fn demap_hard(self, z: Complex64) -> Vec<u8> {
@@ -182,6 +199,56 @@ impl Modulation {
     }
 }
 
+/// One bit loading's constellation as per-axis tables: the I value of
+/// each I-bit pattern and the Q value of each Q-bit pattern.
+#[derive(Debug)]
+pub(crate) struct AxisTables {
+    /// Bits per point.
+    pub(crate) bits: u32,
+    /// Q bits in a word (its low bits).
+    q_bits: u32,
+    re: Vec<f64>,
+    im: Vec<f64>,
+}
+
+impl AxisTables {
+    /// The point of a `bits`-bit word, the first bit in the most
+    /// significant position.
+    #[inline]
+    pub(crate) fn point(&self, word: usize) -> Complex64 {
+        Complex64::new(
+            self.re[word >> self.q_bits],
+            self.im[word & ((1 << self.q_bits) - 1)],
+        )
+    }
+}
+
+/// The axis tables of bit loadings 1..=15 (index `bits − 1`), filled from
+/// [`Modulation::map`] on first use and shared process-wide.
+fn axis_tables() -> &'static [AxisTables] {
+    static TABLES: OnceLock<Vec<AxisTables>> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        (1..=15u8)
+            .map(|b| {
+                let m = Modulation::from_bits(b);
+                let q_bits = u32::from(b / 2);
+                let point = |word: usize| {
+                    let bits: Vec<u8> = (0..b).rev().map(|k| ((word >> k) & 1) as u8).collect();
+                    m.map(&bits)
+                };
+                AxisTables {
+                    bits: u32::from(b),
+                    q_bits,
+                    re: (0..1usize << (u32::from(b) - q_bits))
+                        .map(|i| point(i << q_bits).re)
+                        .collect(),
+                    im: (0..1usize << q_bits).map(|q| point(q).im).collect(),
+                }
+            })
+            .collect()
+    })
+}
+
 impl fmt::Display for Modulation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -200,6 +267,24 @@ mod tests {
         let mut v = vec![Modulation::Bpsk, Modulation::Qpsk];
         v.extend((3..=15).map(Modulation::Qam));
         v
+    }
+
+    #[test]
+    fn axis_tables_match_map_for_every_pattern_of_every_loading() {
+        let mut modulations = vec![Modulation::Bpsk, Modulation::Qpsk];
+        modulations.extend((2..=15).map(Modulation::Qam));
+        for m in modulations {
+            let b = m.bits_per_symbol();
+            for word in 0..1usize << b {
+                let bits: Vec<u8> = (0..b).rev().map(|i| ((word >> i) & 1) as u8).collect();
+                let (want, got) = (m.map(&bits), m.axes().point(word));
+                assert_eq!(
+                    (got.re.to_bits(), got.im.to_bits()),
+                    (want.re.to_bits(), want.im.to_bits()),
+                    "{m} word {word:#b}"
+                );
+            }
+        }
     }
 
     #[test]

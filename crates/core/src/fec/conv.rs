@@ -1,4 +1,11 @@
 //! Convolutional encoding with puncturing.
+//!
+//! [`ConvCode`] encodes from a table built in [`ConvCode::new`]: one word
+//! per register value (the last K input bits) holding every generator's
+//! output bit as one byte, so a step is a shift, a mask, a lookup and one
+//! 8-byte store. Puncturing then compacts the new bits in place, walking
+//! the keep mask with a wrapping index. Both the register and the puncture
+//! phase carry across [`ConvCode::encode`] calls until [`ConvCode::reset`].
 
 use crate::error::ConfigError;
 use serde::{Deserialize, Serialize};
@@ -119,7 +126,15 @@ impl PunctureSpec {
 #[derive(Debug, Clone)]
 pub struct ConvCode {
     spec: ConvSpec,
-    state: u32,
+    /// The last K input bits, newest in bit 0.
+    state: usize,
+    /// `(1 << K) − 1`.
+    state_mask: usize,
+    /// `outputs[state]` holds the output bit of each generator as one
+    /// byte, in order, zero padded: its leading little-endian bytes are
+    /// the bytes to emit.
+    outputs: Vec<u64>,
+    /// Index of the next puncture-pattern entry.
     puncture_phase: usize,
 }
 
@@ -130,7 +145,9 @@ impl ConvCode {
     ///
     /// Returns [`ConfigError::BadPuncturePattern`] for an all-`false`
     /// pattern and [`ConfigError::Invalid`] for impossible constraint
-    /// lengths or missing polynomials.
+    /// lengths, no polynomials or more than [`ConvCode::MAX_STREAMS`], or
+    /// a polynomial with taps at or above bit K (the register only holds K
+    /// bits).
     pub fn new(spec: ConvSpec) -> Result<Self, ConfigError> {
         if spec.constraint == 0 || spec.constraint > 16 {
             return Err(ConfigError::Invalid(format!(
@@ -138,29 +155,56 @@ impl ConvCode {
                 spec.constraint
             )));
         }
-        if spec.polynomials.is_empty() {
-            return Err(ConfigError::Invalid(
-                "convolutional code needs at least one generator".into(),
-            ));
+        if spec.polynomials.is_empty() || spec.polynomials.len() > Self::MAX_STREAMS {
+            return Err(ConfigError::Invalid(format!(
+                "convolutional code needs 1..={} generators, got {}",
+                Self::MAX_STREAMS,
+                spec.polynomials.len()
+            )));
+        }
+        if let Some(g) = spec
+            .polynomials
+            .iter()
+            .find(|&&g| g >> spec.constraint != 0)
+        {
+            return Err(ConfigError::Invalid(format!(
+                "generator {g:#o} has taps beyond constraint length {}",
+                spec.constraint
+            )));
         }
         if spec.puncture.is_degenerate() {
             return Err(ConfigError::BadPuncturePattern);
         }
-        if !spec.puncture.pattern.is_empty()
-            && !spec
-                .puncture
-                .pattern
-                .len()
-                .is_multiple_of(spec.polynomials.len())
+        if !spec
+            .puncture
+            .pattern
+            .len()
+            .is_multiple_of(spec.polynomials.len())
         {
             return Err(ConfigError::BadPuncturePattern);
         }
+        let states = 1usize << spec.constraint;
+        let outputs = (0..states as u32)
+            .map(|reg| {
+                spec.polynomials
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &g)| u64::from((reg & g).count_ones() & 1) << (8 * i))
+                    .sum()
+            })
+            .collect();
         Ok(ConvCode {
             spec,
             state: 0,
+            state_mask: states - 1,
+            outputs,
             puncture_phase: 0,
         })
     }
+
+    /// The most generators a code may have: a step's output bits fill
+    /// one 8-byte word, as in the Viterbi decoder's branch table.
+    pub const MAX_STREAMS: usize = 8;
 
     /// The encoder's spec.
     pub fn spec(&self) -> &ConvSpec {
@@ -169,37 +213,58 @@ impl ConvCode {
 
     /// Encodes `bits`, applying puncturing, without terminating the trellis.
     pub fn encode(&mut self, bits: &[u8]) -> Vec<u8> {
-        let n_streams = self.spec.polynomials.len();
-        let mut out = Vec::with_capacity(bits.len() * n_streams);
-        for &b in bits {
-            self.state = (self.state << 1) | (b as u32 & 1);
-            for gi in 0..n_streams {
-                let parity = (self.state & self.spec.polynomials[gi]).count_ones() & 1;
-                if self.keep_next() {
-                    out.push(parity as u8);
+        let mut out = Vec::with_capacity(bits.len() * self.spec.polynomials.len());
+        self.encode_into(bits, &mut out);
+        out
+    }
+
+    /// [`ConvCode::encode`] appending to `out`.
+    pub(crate) fn encode_into(&mut self, bits: &[u8], out: &mut Vec<u8>) {
+        let n = self.spec.polynomials.len();
+        let start = out.len();
+        let end = start + bits.len() * n;
+        // Each step stores a whole word; the next step's word overwrites
+        // the padding, and the slack past `end` is cut below.
+        out.resize(end + 8, 0);
+        let (outputs, mask) = (&self.outputs[..], self.state_mask);
+        let steps = &mut out[start..];
+        let mut state = self.state;
+        for (i, &b) in bits.iter().enumerate() {
+            state = ((state << 1) | usize::from(b & 1)) & mask;
+            steps[i * n..i * n + 8].copy_from_slice(&outputs[state].to_le_bytes());
+        }
+        self.state = state;
+        out.truncate(end);
+        let pattern = &self.spec.puncture.pattern;
+        if !pattern.is_empty() {
+            let mut kept = start;
+            for read in start..end {
+                if pattern[self.puncture_phase] {
+                    out[kept] = out[read];
+                    kept += 1;
+                }
+                self.puncture_phase += 1;
+                if self.puncture_phase == pattern.len() {
+                    self.puncture_phase = 0;
                 }
             }
+            out.truncate(kept);
         }
-        out
     }
 
     /// Encodes `bits` followed by K−1 zero tail bits, returning the encoder
     /// to the zero state (the 802.11a/DVB framing convention).
     pub fn encode_terminated(&mut self, bits: &[u8]) -> Vec<u8> {
-        let tail = vec![0u8; (self.spec.constraint - 1) as usize];
-        let mut out = self.encode(bits);
-        out.extend(self.encode(&tail));
+        let mut out = Vec::new();
+        self.encode_terminated_into(bits, &mut out);
         out
     }
 
-    fn keep_next(&mut self) -> bool {
-        let pattern = &self.spec.puncture.pattern;
-        if pattern.is_empty() {
-            return true;
-        }
-        let keep = pattern[self.puncture_phase];
-        self.puncture_phase = (self.puncture_phase + 1) % pattern.len();
-        keep
+    /// [`ConvCode::encode_terminated`] appending to `out`.
+    pub(crate) fn encode_terminated_into(&mut self, bits: &[u8], out: &mut Vec<u8>) {
+        self.encode_into(bits, out);
+        let tail = [0u8; 16];
+        self.encode_into(&tail[..self.spec.constraint as usize - 1], out);
     }
 
     /// Returns to the zero state and puncture phase 0.

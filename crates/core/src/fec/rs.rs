@@ -4,8 +4,18 @@
 //! outer code of DVB-T (a shortened RS(255, 239), t = 8). The decoder —
 //! syndromes, Berlekamp–Massey, Chien search, Forney algorithm — lives here
 //! too so the reference receiver and the transmitter share one codec.
+//!
+//! The encoder divides by the generator one message byte at a time, with
+//! the generator-times-byte products read from a 256-row table (one per
+//! parity length, built once and shared process-wide) in place of 2t
+//! GF(2⁸) multiplies per byte. The remainder and the table rows are held
+//! as big-endian `u128` words, so a division step is a one-byte shift and
+//! an XOR per 16 parity bytes. The decoder still multiplies through
+//! [`Gf256`].
 
 use crate::fec::gf256::Gf256;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Errors from Reed–Solomon decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,8 +67,50 @@ pub struct ReedSolomon {
     gf: Gf256,
     n: usize,
     k: usize,
-    /// Generator polynomial, highest degree first, degree 2t.
-    generator: Vec<u8>,
+    /// Row `c` (`words` words from `c·words`) holds generator
+    /// coefficients `1..=2t` × `c`, big-endian and zero-padded: the
+    /// remainder update of one division step with quotient byte `c`.
+    products: Arc<[u128]>,
+    /// `u128` words per remainder: ⌈2t / 16⌉.
+    words: usize,
+}
+
+/// The generator-product table for `two_t` parity bytes, built on first
+/// use and shared by every code with that parity length (the generator
+/// Π (x − αⁱ), i < 2t, depends on nothing else).
+fn generator_products(gf: &Gf256, two_t: usize) -> Arc<[u128]> {
+    static TABLES: OnceLock<Mutex<HashMap<usize, Arc<[u128]>>>> = OnceLock::new();
+    // Entries are inserted whole, so a poisoned map is still valid.
+    let mut tables = TABLES
+        .get_or_init(Mutex::default)
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    Arc::clone(tables.entry(two_t).or_insert_with(|| {
+        let mut generator = vec![1u8];
+        for i in 0..two_t {
+            generator = gf.poly_mul(&generator, &[1, gf.alpha_pow(i)]);
+        }
+        // generator[0] is always 1 (monic); the division never reads it.
+        (0..=255u8)
+            .flat_map(|c| {
+                let mut row: Vec<u8> = generator[1..].iter().map(|&g| gf.mul(g, c)).collect();
+                row.resize(two_t.div_ceil(16) * 16, 0);
+                pack_words(&row)
+            })
+            .collect()
+    }))
+}
+
+/// Big-endian `u128` words of `bytes` (a multiple of 16 long).
+fn pack_words(bytes: &[u8]) -> Vec<u128> {
+    bytes
+        .chunks_exact(16)
+        .map(|c| {
+            let mut word = [0u8; 16];
+            word.copy_from_slice(c);
+            u128::from_be_bytes(word)
+        })
+        .collect()
 }
 
 impl ReedSolomon {
@@ -75,17 +127,13 @@ impl ReedSolomon {
             "n - k must be even (2t parity symbols)"
         );
         let gf = Gf256::new();
-        let two_t = n - k;
-        // generator(x) = Π_{i=0}^{2t-1} (x − α^i).
-        let mut generator = vec![1u8];
-        for i in 0..two_t {
-            generator = gf.poly_mul(&generator, &[1, gf.alpha_pow(i)]);
-        }
+        let products = generator_products(&gf, n - k);
         ReedSolomon {
             gf,
             n,
             k,
-            generator,
+            products,
+            words: (n - k).div_ceil(16),
         }
     }
 
@@ -116,24 +164,38 @@ impl ReedSolomon {
     ///
     /// Panics if `msg.len() != k`.
     pub fn encode(&self, msg: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.n);
+        self.encode_into(msg, &mut out);
+        out
+    }
+
+    /// [`ReedSolomon::encode`] appending the `n`-byte codeword to `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `msg.len() != k`.
+    pub(crate) fn encode_into(&self, msg: &[u8], out: &mut Vec<u8>) {
         assert_eq!(msg.len(), self.k, "message must be exactly k bytes");
-        let two_t = self.n - self.k;
-        // Polynomial long division of msg·x^{2t} by the generator.
-        let mut rem = vec![0u8; two_t];
+        // Polynomial long division of msg·x^{2t} by the generator. The
+        // remainder's bytes run big-endian through `rem`'s words, zero
+        // padded after byte 2t; shifting one byte left drops the leading
+        // coefficient and pulls a padding zero into place 2t − 1.
+        let words = self.words;
+        let mut rem = [0u128; 16];
+        let rem = &mut rem[..words];
         for &m in msg {
-            let coef = m ^ rem[0];
-            rem.rotate_left(1);
-            rem[two_t - 1] = 0;
-            if coef != 0 {
-                for (i, r) in rem.iter_mut().enumerate() {
-                    // generator[0] is always 1 (monic); skip it.
-                    *r ^= self.gf.mul(self.generator[i + 1], coef);
-                }
+            let coef = usize::from(m ^ (rem[0] >> 120) as u8);
+            let row = &self.products[coef * words..(coef + 1) * words];
+            for i in 0..words {
+                let next = rem.get(i + 1).map_or(0, |w| w >> 120);
+                rem[i] = (rem[i] << 8 | next) ^ row[i];
             }
         }
-        let mut out = msg.to_vec();
-        out.extend_from_slice(&rem);
-        out
+        out.extend_from_slice(msg);
+        for (i, word) in rem.iter().enumerate() {
+            let bytes = word.to_be_bytes();
+            out.extend_from_slice(&bytes[..(self.n - self.k - 16 * i).min(16)]);
+        }
     }
 
     /// Decodes an `n`-byte received block, correcting up to t symbol

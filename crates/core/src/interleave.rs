@@ -11,7 +11,9 @@
 //!
 //! Interleavers are exact permutations; [`Interleaver::deinterleave`]
 //! inverts [`Interleaver::interleave`] bit-for-bit (used by the reference
-//! receiver).
+//! receiver). The permutation is tabulated once in [`Interleaver::new`];
+//! the transmitter gathers through it into a buffer it reuses from frame
+//! to frame.
 
 use crate::error::ConfigError;
 use serde::{Deserialize, Serialize};
@@ -119,8 +121,20 @@ impl Interleaver {
     ///
     /// Panics if `bits.len()` is not a multiple of the block length.
     pub fn interleave(&self, bits: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(bits.len());
+        self.interleave_into(bits, &mut out);
+        out
+    }
+
+    /// [`Interleaver::interleave`] appending to `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits.len()` is not a multiple of the block length.
+    pub(crate) fn interleave_into(&self, bits: &[u8], out: &mut Vec<u8>) {
         if self.perm.is_empty() {
-            return bits.to_vec();
+            out.extend_from_slice(bits);
+            return;
         }
         let n = self.perm.len();
         assert!(
@@ -128,11 +142,10 @@ impl Interleaver {
             "input length {} is not a multiple of the interleaver block {n}",
             bits.len()
         );
-        let mut out = Vec::with_capacity(bits.len());
-        for chunk in bits.chunks(n) {
+        out.reserve(bits.len());
+        for chunk in bits.chunks_exact(n) {
             out.extend(self.perm.iter().map(|&src| chunk[src]));
         }
-        out
     }
 
     /// Inverts [`Interleaver::interleave`].

@@ -132,10 +132,12 @@ impl SubcarrierMap {
     /// Removes carriers (e.g. this symbol's pilots) from the data set,
     /// returning the remaining carriers in ascending order.
     pub fn data_excluding(&self, occupied: &[i32]) -> Vec<i32> {
+        let mut occupied = occupied.to_vec();
+        occupied.sort_unstable();
         self.data_carriers
             .iter()
             .copied()
-            .filter(|k| !occupied.contains(k))
+            .filter(|k| occupied.binary_search(k).is_err())
             .collect()
     }
 

@@ -112,27 +112,36 @@ impl OfdmParams {
             PilotSpec::None => Vec::new(),
             PilotSpec::Fixed(cells) => cells.iter().map(|c| c.0).collect(),
             PilotSpec::SymbolPolarity {
-                carriers, signs, ..
+                carriers,
+                signs,
+                lfsr,
+                ..
             } => {
                 if carriers.len() != signs.len() {
                     return Err(ConfigError::Invalid(
                         "pilot carriers and signs must have equal length".into(),
                     ));
                 }
+                lfsr.validate()?;
                 carriers.clone()
             }
             PilotSpec::ScatteredGrid {
                 used_min,
                 used_max,
                 spacing,
+                carrier_lfsr,
                 ..
             } => {
                 if *spacing == 0 {
                     return Err(ConfigError::Invalid("pilot spacing must be nonzero".into()));
                 }
+                carrier_lfsr.validate()?;
                 vec![*used_min, *used_max]
             }
         };
+        if let Some(scrambler) = &self.scrambler {
+            scrambler.lfsr.validate()?;
+        }
         for &k in &pilot_carriers {
             if self.map.is_hermitian() {
                 if k < 1 || k >= half {
@@ -506,5 +515,58 @@ mod tests {
             carrier_lfsr: LfsrSpec::dvb_wk(),
         };
         assert!(base_builder().pilots(spec).build().is_err());
+    }
+
+    #[test]
+    fn malformed_lfsr_specs_are_rejected_by_validate() {
+        let bad = LfsrSpec {
+            order: 40,
+            taps: vec![40, 3],
+            seed: 1,
+        };
+        let no_order_tap = LfsrSpec {
+            order: 7,
+            taps: vec![4],
+            seed: 1,
+        };
+        for lfsr in [bad, no_order_tap] {
+            let scrambled = base_builder()
+                .scrambler(ScramblerSpec { lfsr: lfsr.clone() })
+                .build();
+            assert!(
+                matches!(scrambled, Err(ConfigError::Invalid(_))),
+                "{lfsr:?}"
+            );
+            let polarity = PilotSpec::SymbolPolarity {
+                carriers: vec![-21, 21],
+                signs: vec![1.0, -1.0],
+                boost: 1.0,
+                lfsr: lfsr.clone(),
+            };
+            let piloted = base_builder().pilots(polarity).build();
+            assert!(matches!(piloted, Err(ConfigError::Invalid(_))), "{lfsr:?}");
+            let scattered = PilotSpec::ScatteredGrid {
+                used_min: -10,
+                used_max: 10,
+                spacing: 3,
+                shift: 1,
+                period: 3,
+                continual: vec![],
+                boost: 1.0,
+                carrier_lfsr: lfsr.clone(),
+            };
+            assert!(matches!(
+                base_builder().pilots(scattered).build(),
+                Err(ConfigError::Invalid(_))
+            ));
+            // The transmitter reports it as a configuration error too,
+            // where it used to panic building the register.
+            let mut p = presets::minimal_test_params();
+            p.scrambler = Some(ScramblerSpec { lfsr: lfsr.clone() });
+            assert!(matches!(
+                crate::MotherModel::new(p),
+                Err(ConfigError::Invalid(_))
+            ));
+        }
     }
 }

@@ -14,12 +14,15 @@
 //!   continual (fixed-position) pilots on top (DVB-T, and a behavioral
 //!   approximation of DRM's gain references).
 
+use crate::error::ConfigError;
 use ofdm_dsp::bits::Lfsr;
 use ofdm_dsp::Complex64;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// A serializable LFSR definition (generator polynomial taps + seed).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct LfsrSpec {
     /// Register length in bits.
     pub order: u32,
@@ -49,9 +52,87 @@ impl LfsrSpec {
         }
     }
 
+    /// The longest register a spec may describe. It bounds one period of
+    /// the output at 2²⁰ − 1 bits, so a shared PRBS period table stays
+    /// under 1 MiB (and a symbol-polarity pilot sequence under 8 MiB).
+    pub const MAX_ORDER: u32 = 20;
+
+    /// Checks that the register is buildable and that its output is purely
+    /// periodic.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::Invalid`] if `order` is outside
+    /// `1..=`[`LfsrSpec::MAX_ORDER`], if a tap is outside `1..=order` or
+    /// repeated, or if the taps leave out `order` itself. Without the
+    /// `order` tap the step is not invertible, the seed need not recur and
+    /// the sequence has no period to tabulate.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let invalid = |why: String| Err(ConfigError::Invalid(format!("LFSR {self:?}: {why}")));
+        if self.order == 0 || self.order > Self::MAX_ORDER {
+            return invalid(format!("order is outside 1..={}", Self::MAX_ORDER));
+        }
+        if let Some(t) = self.taps.iter().find(|&&t| t == 0 || t > self.order) {
+            return invalid(format!("tap {t} is outside 1..=order"));
+        }
+        let mut taps = self.taps.clone();
+        taps.sort_unstable();
+        taps.dedup();
+        if taps.len() != self.taps.len() {
+            return invalid("a tap is repeated".into());
+        }
+        if !taps.contains(&self.order) {
+            return invalid("the taps must include the order, or the seed never recurs".into());
+        }
+        Ok(())
+    }
+
     /// Instantiates the register.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `order` is 0 or above 31, or a tap is out of range.
     pub fn build(&self) -> Lfsr {
         Lfsr::new(self.order, &self.taps, self.seed)
+    }
+
+    /// One period of the register's output sequence, one bit per byte,
+    /// starting from the seed: bit `i` of the endless sequence is
+    /// `prbs[i % prbs.len()]`.
+    ///
+    /// The table is built once per spec (seed taken modulo `2^order`) and
+    /// shared process-wide, like `ofdm_dsp::fft::plan`: every scrambler,
+    /// transmitter and receiver on the same spec reads the same one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`LfsrSpec::validate`] rejects the spec.
+    pub(crate) fn prbs(&self) -> Arc<[u8]> {
+        static TABLES: OnceLock<Mutex<HashMap<LfsrSpec, Arc<[u8]>>>> = OnceLock::new();
+        self.validate()
+            .expect("a PRBS table needs a valid LFSR spec");
+        let key = LfsrSpec {
+            seed: self.seed & ((1 << self.order) - 1),
+            ..self.clone()
+        };
+        // Entries are inserted whole, so a poisoned map is still valid.
+        let mut tables = TABLES
+            .get_or_init(Mutex::default)
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        Arc::clone(tables.entry(key).or_insert_with_key(|spec| {
+            // `validate` made the step a bijection on the register's
+            // states, so the seed recurs within 2^order steps.
+            let mut reg = spec.build();
+            let mut bits = Vec::new();
+            loop {
+                bits.push(reg.next_bit());
+                if reg.state() == spec.seed {
+                    break;
+                }
+            }
+            bits.into()
+        }))
     }
 }
 
@@ -264,6 +345,69 @@ pub fn ieee80211a_pilots() -> PilotSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn prbs_is_one_period_of_the_register() {
+        let specs = [
+            (LfsrSpec::ieee80211_polarity(), 127),
+            (LfsrSpec::dvb_wk(), 2047),
+            // x⁴+x²+1 is not primitive: its cycles are shorter than 15.
+            (
+                LfsrSpec {
+                    order: 4,
+                    taps: vec![4, 2],
+                    seed: 0b0001,
+                },
+                6,
+            ),
+            // The all-zero state is its own cycle.
+            (
+                LfsrSpec {
+                    order: 9,
+                    taps: vec![9, 5],
+                    seed: 0x200,
+                },
+                1,
+            ),
+        ];
+        for (spec, period) in specs {
+            let prbs = spec.prbs();
+            assert_eq!(prbs.len(), period, "{spec:?}");
+            let mut reg = spec.build();
+            for i in 0..3 * period + 5 {
+                assert_eq!(prbs[i % period], reg.next_bit(), "{spec:?} bit {i}");
+            }
+            // Shared: a second request hands out the same table.
+            assert!(Arc::ptr_eq(&prbs, &spec.prbs()));
+        }
+    }
+
+    #[test]
+    fn malformed_lfsr_specs_are_config_errors() {
+        let spec = |order: u32, taps: &[u32]| LfsrSpec {
+            order,
+            taps: taps.to_vec(),
+            seed: 1,
+        };
+        for bad in [
+            spec(0, &[]),
+            spec(40, &[40, 3]),
+            spec(LfsrSpec::MAX_ORDER + 1, &[LfsrSpec::MAX_ORDER + 1, 1]),
+            spec(7, &[8, 7]),
+            spec(7, &[0, 7]),
+            spec(7, &[4]),
+            spec(7, &[7, 4, 4]),
+            spec(7, &[7, 7]),
+            spec(7, &[]),
+        ] {
+            assert!(
+                matches!(bad.validate(), Err(ConfigError::Invalid(_))),
+                "{bad:?}"
+            );
+        }
+        assert_eq!(spec(LfsrSpec::MAX_ORDER, &[20, 17]).validate(), Ok(()));
+        assert_eq!(spec(1, &[1]).validate(), Ok(()));
+    }
 
     #[test]
     fn none_produces_no_cells() {

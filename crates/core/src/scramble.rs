@@ -4,9 +4,15 @@
 //! scrambler — 802.11a's x⁷+x⁴+1, DVB's x¹⁵+x¹⁴+1 energy dispersal, DRM's
 //! x⁹+x⁵+1 — differing only in polynomial and seed: exactly the kind of
 //! variation the Mother Model absorbs as a parameter.
+//!
+//! An additive scrambler's output does not depend on the data, so a
+//! [`Scrambler`] never steps a register: it XORs the payload against one
+//! period of the PRBS (`LfsrSpec::prbs`, built once per spec and shared
+//! process-wide) from a running position that wraps at the period.
 
 use crate::pilots::LfsrSpec;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Scrambler configuration: which LFSR to XOR onto the bit stream.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -53,17 +59,26 @@ impl ScramblerSpec {
 }
 
 /// A running additive scrambler.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Scrambler {
     spec: ScramblerSpec,
-    lfsr: ofdm_dsp::bits::Lfsr,
+    /// One period of the PRBS, shared with every scrambler on this spec.
+    prbs: Arc<[u8]>,
+    /// Position of the next PRBS bit, in `0..prbs.len()`.
+    pos: usize,
 }
 
 impl Scrambler {
     /// Instantiates the scrambler in its seeded state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`LfsrSpec::validate`] rejects the spec's register;
+    /// [`crate::params::OfdmParams::validate`] reports that as a
+    /// [`crate::error::ConfigError`] first.
     pub fn new(spec: ScramblerSpec) -> Self {
-        let lfsr = spec.lfsr.build();
-        Scrambler { spec, lfsr }
+        let prbs = spec.lfsr.prbs();
+        Scrambler { spec, prbs, pos: 0 }
     }
 
     /// XORs the PRBS onto `bits`, returning the scrambled stream. Because
@@ -71,14 +86,44 @@ impl Scrambler {
     /// the identity — the reference receiver descrambles by calling this
     /// same method.
     pub fn scramble(&mut self, bits: &[u8]) -> Vec<u8> {
-        bits.iter()
-            .map(|&b| (b & 1) ^ self.lfsr.next_bit())
-            .collect()
+        let mut out = bits.to_vec();
+        self.scramble_in_place(&mut out);
+        out
+    }
+
+    /// [`Scrambler::scramble`] in place: each byte becomes its low bit XOR
+    /// the next PRBS bit.
+    pub fn scramble_in_place(&mut self, bits: &mut [u8]) {
+        let mut rest = bits;
+        while !rest.is_empty() {
+            let prbs = &self.prbs[self.pos..];
+            let n = prbs.len().min(rest.len());
+            let (head, tail) = rest.split_at_mut(n);
+            for (b, &p) in head.iter_mut().zip(prbs) {
+                *b = (*b & 1) ^ p;
+            }
+            self.pos += n;
+            if self.pos == self.prbs.len() {
+                self.pos = 0;
+            }
+            rest = tail;
+        }
     }
 
     /// Returns the scrambler to its seeded state (frame boundary).
     pub fn reset(&mut self) {
-        self.lfsr.reseed(self.spec.lfsr.seed);
+        self.pos = 0;
+    }
+}
+
+impl std::fmt::Debug for Scrambler {
+    /// The spec and the position in the period, not the period's bits.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Scrambler")
+            .field("spec", &self.spec)
+            .field("period", &self.prbs.len())
+            .field("pos", &self.pos)
+            .finish()
     }
 }
 

@@ -4,8 +4,28 @@
 //! determined by its [`OfdmParams`]: the same engine produces 802.11a
 //! packets, DVB-T symbol streams and real-valued ADSL DMT frames. This is
 //! the paper's thesis made executable — a standard is a parameter file.
+//!
+//! A frame goes through two passes, both table-driven:
+//!
+//! * **Encode** ([`MotherModel::begin_stream`]): the payload is copied and
+//!   checked in one pass, then scrambled in place against the shared PRBS
+//!   period, Reed–Solomon coded from the shared generator-product table
+//!   (packing and unpacking a byte at a time), convolutionally coded from
+//!   the encoder's output table and interleaved through its permutation.
+//!   The stages work in place or ping-pong between the [`StreamState`]'s
+//!   coded buffer and the previous frame's, so a frame allocates its
+//!   payload copy (and the Reed–Solomon byte stages), not a buffer per
+//!   stage, and a state keeps one frame-sized bit buffer.
+//! * **Modulate** ([`MotherModel::stream_into`]): each symbol's cells come
+//!   from a precomputed `SymbolPlan` per pilot phase, every data cell
+//!   one word read from the packed coded bits and two lookups in its
+//!   constellation's I/Q axis tables. Cells are sorted only for the
+//!   ground-truth log: the IFFT grid does not depend on their order.
+//!   Symbols overlap-add into a carry window drained from a read offset;
+//!   the window is compacted once per produced section, so emitting a
+//!   frame in chunks costs O(chunk) per chunk whatever the chunk size.
 
-use crate::constellation::Modulation;
+use crate::constellation::{AxisTables, Modulation};
 use crate::error::{ConfigError, TxError};
 use crate::fec::{ConvCode, ReedSolomon};
 use crate::framing::render_element;
@@ -16,7 +36,7 @@ use crate::params::{ModulationPlan, OfdmParams};
 use crate::pilots::PilotGenerator;
 use crate::scramble::Scrambler;
 use crate::symbol::{ShapedSymbol, SymbolModulator, SymbolScratch};
-use ofdm_dsp::bits::{pack_msb_first, unpack_msb_first};
+use ofdm_dsp::bits::{pack_msb_first_into, unpack_msb_first_into};
 use ofdm_dsp::Complex64;
 use rfsim::Signal;
 use std::time::Instant;
@@ -109,12 +129,19 @@ impl Frame {
 pub struct StreamState {
     /// Coded bit stream for the current frame.
     coded: Vec<u8>,
+    /// `coded` packed MSB-first into bytes, plus 8 zero bytes, so the
+    /// mapper reads a cell's bits with one 8-byte load and two shifts
+    /// (zeros past the end).
+    packed: Vec<u8>,
     /// Read position in `coded`.
     cursor: usize,
     /// Next preamble element to render.
     preamble_idx: usize,
-    /// Overlap-add carry window: samples produced but not yet emitted.
+    /// Overlap-add carry window: `buf[read..]` is produced but not yet
+    /// emitted.
     buf: Vec<Complex64>,
+    /// Samples of `buf` already emitted; dropped before the next section.
+    read: usize,
     /// Leading samples of `buf` that no future section can change.
     finalized: usize,
     /// No more sections will be produced for this frame.
@@ -189,7 +216,7 @@ impl StreamState {
 
     /// `true` once every sample of the current frame has been emitted.
     pub fn is_finished(&self) -> bool {
-        self.done && self.buf.is_empty()
+        self.done && self.read == self.buf.len()
     }
 }
 
@@ -303,11 +330,12 @@ pub struct MotherModel {
 }
 
 /// The precomputed mapping table for one pilot-position phase: every data
-/// carrier that survives pilot displacement, ascending, with its modulation
-/// — the per-symbol mapper just walks this list and consumes bits.
+/// carrier that survives pilot displacement, ascending, with its
+/// constellation's axis tables — the per-symbol mapper just walks this
+/// list and consumes bits.
 #[derive(Debug, Clone)]
 struct SymbolPlan {
-    data: Vec<(i32, Modulation)>,
+    data: Vec<(i32, &'static AxisTables)>,
 }
 
 impl MotherModel {
@@ -349,7 +377,7 @@ impl MotherModel {
                             .data_carriers()
                             .binary_search(&k)
                             .expect("data carrier comes from the map");
-                        (k, params.modulation.modulation_at(idx))
+                        (k, params.modulation.modulation_at(idx).axes())
                     })
                     .collect();
                 SymbolPlan { data }
@@ -405,31 +433,46 @@ impl MotherModel {
     /// experiment and the RT-level cross-check.
     pub fn encode_payload(&mut self, payload: &[u8]) -> Vec<u8> {
         let mut bits: Vec<u8> = payload.iter().map(|&b| b & 1).collect();
+        self.encode_bits(&mut bits, Vec::new());
+        bits
+    }
+
+    /// The bit chain of [`MotherModel::encode_payload`] in place: `bits`
+    /// holds payload bits (0/1) on entry and the coded stream on return.
+    /// `spare` is the second buffer of the stages that cannot work in
+    /// place; it is dropped on return, so a stream state keeps one
+    /// frame-sized bit buffer, not two.
+    fn encode_bits(&mut self, bits: &mut Vec<u8>, mut spare: Vec<u8>) {
         if let Some(s) = self.scrambler.as_mut() {
             s.reset();
-            bits = s.scramble(&bits);
+            s.scramble_in_place(bits);
         }
         if let Some(rs) = &self.rs {
-            let mut bytes = pack_msb_first(&bits);
+            let mut bytes = Vec::with_capacity(bits.len().div_ceil(8));
+            pack_msb_first_into(bits, &mut bytes);
             let k = rs.k();
             let pad = (k - bytes.len() % k) % k;
-            bytes.extend(std::iter::repeat_n(0u8, pad));
-            let mut coded = Vec::with_capacity(bytes.len() / k * rs.n());
-            for block in bytes.chunks(k) {
-                coded.extend(rs.encode(block));
+            bytes.resize(bytes.len() + pad, 0);
+            let mut codewords = Vec::with_capacity(bytes.len() / k * rs.n());
+            for block in bytes.chunks_exact(k) {
+                rs.encode_into(block, &mut codewords);
             }
-            bits = unpack_msb_first(&coded);
+            bits.clear();
+            unpack_msb_first_into(&codewords, bits);
         }
         if let Some(c) = self.conv.as_mut() {
             c.reset();
-            bits = c.encode_terminated(&bits);
+            spare.clear();
+            c.encode_terminated_into(bits, &mut spare);
+            std::mem::swap(bits, &mut spare);
         }
         if let Some(block) = self.interleaver.spec().block_len() {
             let pad = (block - bits.len() % block) % block;
-            bits.extend(std::iter::repeat_n(0u8, pad));
-            bits = self.interleaver.interleave(&bits);
+            bits.resize(bits.len() + pad, 0);
+            spare.clear();
+            self.interleaver.interleave_into(bits, &mut spare);
+            std::mem::swap(bits, &mut spare);
         }
-        bits
     }
 
     /// Transmits one frame carrying `payload` bits (values 0/1).
@@ -473,16 +516,33 @@ impl MotherModel {
         if payload.is_empty() {
             return Err(TxError::EmptyPayload);
         }
-        if let Some(index) = payload.iter().position(|&b| b > 1) {
-            return Err(TxError::InvalidBit {
-                index,
-                value: payload[index],
-            });
+        // One pass copies the payload and ORs its bytes together: the OR
+        // exceeds 1 exactly when some byte does. A rejected payload leaves
+        // the state as it was.
+        let mut loaded = Vec::with_capacity(payload.len());
+        let mut any = 0u8;
+        loaded.extend(payload.iter().map(|&b| {
+            any |= b;
+            b
+        }));
+        if any > 1 {
+            if let Some(index) = payload.iter().position(|&b| b > 1) {
+                return Err(TxError::InvalidBit {
+                    index,
+                    value: payload[index],
+                });
+            }
         }
-        state.coded = self.encode_payload(payload);
+        // The previous frame's buffer becomes the chain's spare.
+        let spare = std::mem::replace(&mut state.coded, loaded);
+        self.encode_bits(&mut state.coded, spare);
+        state.packed.clear();
+        pack_msb_first_into(&state.coded, &mut state.packed);
+        state.packed.extend_from_slice(&[0; 8]);
         state.cursor = 0;
         state.preamble_idx = 0;
         state.buf.clear();
+        state.read = 0;
         state.finalized = 0;
         state.done = false;
         state.cells_log.clear();
@@ -510,10 +570,15 @@ impl MotherModel {
     ) -> usize {
         let mut emitted = 0usize;
         while emitted < max_samples {
-            if state.finalized == 0 {
+            if state.read == state.finalized {
                 if state.done {
                     break;
                 }
+                // Everything final is out: drop it, keeping the overlap
+                // tail the next section adds into.
+                state.buf.drain(..state.read);
+                state.finalized = 0;
+                state.read = 0;
                 if !self.produce_section(state) {
                     state.done = true;
                     // No further sections: the pending tail is final.
@@ -524,12 +589,9 @@ impl MotherModel {
                 }
                 continue;
             }
-            let take = state.finalized.min(max_samples - emitted);
-            out.extend_from_slice(&state.buf[..take]);
-            state.buf.copy_within(take.., 0);
-            let remaining = state.buf.len() - take;
-            state.buf.truncate(remaining);
-            state.finalized -= take;
+            let take = (state.finalized - state.read).min(max_samples - emitted);
+            out.extend_from_slice(&state.buf[state.read..state.read + take]);
+            state.read += take;
             emitted += take;
         }
         emitted
@@ -568,13 +630,15 @@ impl MotherModel {
         let consumed = {
             let StreamState {
                 coded,
+                packed,
                 cells,
                 cursor,
                 stage_timing,
                 stages,
                 ..
             } = state;
-            self.build_symbol_into(&coded[*cursor..], cells, stage_timing.then_some(stages))
+            let bits = *cursor..coded.len();
+            self.build_symbol_into(packed, bits, cells, stage_timing.then_some(stages))
         };
         state.cursor += consumed;
         let started = state.stage_timing.then(Instant::now);
@@ -584,6 +648,8 @@ impl MotherModel {
             state.stages.ifft += t0.elapsed().as_nanos() as u64;
         }
         if state.log_cells {
+            // Pilots then data, each ascending: merge into carrier order.
+            state.cells.sort_by_key(|c| c.0);
             state.cells_log.push(state.cells.clone());
         }
         self.symbol_index += 1;
@@ -607,17 +673,19 @@ impl MotherModel {
         true
     }
 
-    /// Builds the cell list of the next OFDM symbol from the head of
-    /// `bits` into `cells` (cleared first), returning how many bits were
-    /// consumed.
+    /// Builds the cell list of the next OFDM symbol from the head of the
+    /// packed stream's `bits` range into `cells` (cleared first), returning
+    /// how many bits were consumed. Bits past the range read as 0.
     ///
     /// This is the precomputed-table mapper: pilot cells come from the
     /// generator's phase template, data carriers and their modulations from
-    /// the matching [`SymbolPlan`] — no per-symbol carrier filtering,
-    /// searching, or per-cell allocation.
+    /// the matching [`SymbolPlan`], each point from its axis tables — no
+    /// per-symbol carrier filtering, searching, or per-cell allocation.
+    /// The cells are left unsorted (pilots, then data).
     fn build_symbol_into(
         &mut self,
-        bits: &[u8],
+        packed: &[u8],
+        bits: std::ops::Range<usize>,
         cells: &mut Vec<(i32, Complex64)>,
         mut timing: Option<&mut StageNanos>,
     ) -> usize {
@@ -630,29 +698,29 @@ impl MotherModel {
         }
 
         let started = timing.as_ref().map(|_| Instant::now());
-        let mut consumed = 0usize;
-        // Stack buffer for one constellation group (QAM tops out at 15
-        // bits/symbol).
-        let mut group = [0u8; 16];
-        for &(k, modulation) in &plan.data {
-            let b = modulation.bits_per_symbol();
-            for (i, slot) in group[..b].iter_mut().enumerate() {
-                *slot = *bits.get(consumed + i).unwrap_or(&0);
-            }
-            consumed = (consumed + b).min(bits.len());
-            let mut point = modulation.map(&group[..b]);
+        let mut pos = bits.start;
+        let pilots = cells.len();
+        cells.resize(pilots + plan.data.len(), (0, Complex64::ZERO));
+        for (cell, &(k, axes)) in cells[pilots..].iter_mut().zip(&plan.data) {
+            // The cell's bits (at most 15) from the 64-bit window at byte
+            // `pos / 8`, the first in the MSB; the zero padding covers the
+            // end.
+            let mut window = [0u8; 8];
+            window.copy_from_slice(&packed[pos / 8..pos / 8 + 8]);
+            let window = u64::from_be_bytes(window) << (pos % 8);
+            pos = (pos + axes.bits as usize).min(bits.end);
+            let mut point = axes.point((window >> (64 - axes.bits)) as usize);
             if self.params.differential {
                 let bin = self.diff_bin(k);
                 point = self.diff_ref[bin] * point;
                 self.diff_ref[bin] = point;
             }
-            cells.push((k, point));
+            *cell = (k, point);
         }
-        cells.sort_by_key(|c| c.0);
         if let (Some(t), Some(t0)) = (timing, started) {
             t.map += t0.elapsed().as_nanos() as u64;
         }
-        consumed
+        pos - bits.start
     }
 
     fn init_diff_reference(&mut self) {
@@ -687,7 +755,7 @@ impl MotherModel {
         self.plans[symbol_index % self.plans.len()]
             .data
             .iter()
-            .map(|&(_, m)| m.bits_per_symbol())
+            .map(|&(_, axes)| axes.bits as usize)
             .sum()
     }
 

@@ -85,24 +85,67 @@ impl Lfsr {
 /// Packs a slice of bits (each 0 or 1, MSB first) into bytes.
 ///
 /// The final byte is zero-padded on the LSB side if `bits.len()` is not a
-/// multiple of 8.
+/// multiple of 8. Only the low bit of each input byte is read.
 pub fn pack_msb_first(bits: &[u8]) -> Vec<u8> {
-    bits.chunks(8)
-        .map(|chunk| {
-            chunk
-                .iter()
-                .enumerate()
-                .fold(0u8, |acc, (i, &b)| acc | ((b & 1) << (7 - i)))
-        })
-        .collect()
+    let mut out = Vec::with_capacity(bits.len().div_ceil(8));
+    pack_msb_first_into(bits, &mut out);
+    out
 }
+
+/// [`pack_msb_first`] appending to `out`: eight bits at a time, gathered
+/// with one multiply (bit `i` of the little-endian word moves to bit
+/// `63 − i` of the product's top byte, and no two partial products
+/// overlap, so nothing carries).
+pub fn pack_msb_first_into(bits: &[u8], out: &mut Vec<u8>) {
+    const LOW_BITS: u64 = 0x0101_0101_0101_0101;
+    const GATHER: u64 = 0x8040_2010_0804_0201;
+    let gather =
+        |group: [u8; 8]| ((u64::from_le_bytes(group) & LOW_BITS).wrapping_mul(GATHER) >> 56) as u8;
+    let mut groups = bits.chunks_exact(8);
+    out.extend(groups.by_ref().map(|g| {
+        let mut group = [0u8; 8];
+        group.copy_from_slice(g);
+        gather(group)
+    }));
+    let tail = groups.remainder();
+    if !tail.is_empty() {
+        let mut group = [0u8; 8];
+        group[..tail.len()].copy_from_slice(tail);
+        out.push(gather(group));
+    }
+}
+
+/// The eight bits of each byte value, MSB first, as the little-endian
+/// bytes of a `u64`.
+const UNPACKED: [u64; 256] = {
+    let mut table = [0u64; 256];
+    let mut v = 0;
+    while v < 256 {
+        let mut word = 0u64;
+        let mut i = 0;
+        while i < 8 {
+            word |= (((v >> (7 - i)) & 1) as u64) << (8 * i);
+            i += 1;
+        }
+        table[v] = word;
+        v += 1;
+    }
+    table
+};
 
 /// Unpacks bytes into bits, MSB first.
 pub fn unpack_msb_first(bytes: &[u8]) -> Vec<u8> {
-    bytes
-        .iter()
-        .flat_map(|&byte| (0..8).map(move |i| (byte >> (7 - i)) & 1))
-        .collect()
+    let mut out = Vec::with_capacity(bytes.len() * 8);
+    unpack_msb_first_into(bytes, &mut out);
+    out
+}
+
+/// [`unpack_msb_first`] appending to `out`, one table word per byte.
+pub fn unpack_msb_first_into(bytes: &[u8], out: &mut Vec<u8>) {
+    out.reserve(bytes.len() * 8);
+    for &byte in bytes {
+        out.extend_from_slice(&UNPACKED[usize::from(byte)].to_le_bytes());
+    }
 }
 
 /// Converts a binary value to its Gray code.
@@ -201,6 +244,44 @@ mod tests {
         let bytes = pack_msb_first(&bits);
         assert_eq!(bytes, vec![0b1011_0010, 0b1111_0001]);
         assert_eq!(unpack_msb_first(&bytes), bits);
+    }
+
+    #[test]
+    fn pack_unpack_match_the_bitwise_fold() {
+        // The per-bit fold the table and multiply versions replaced.
+        let fold_pack = |bits: &[u8]| -> Vec<u8> {
+            bits.chunks(8)
+                .map(|c| {
+                    c.iter()
+                        .enumerate()
+                        .fold(0u8, |acc, (i, &b)| acc | ((b & 1) << (7 - i)))
+                })
+                .collect()
+        };
+        let fold_unpack = |bytes: &[u8]| -> Vec<u8> {
+            bytes
+                .iter()
+                .flat_map(|&byte| (0..8).map(move |i| (byte >> (7 - i)) & 1))
+                .collect()
+        };
+        let all: Vec<u8> = (0..=255u8).collect();
+        assert_eq!(unpack_msb_first(&all), fold_unpack(&all));
+        // Every byte value as input, so high bits must be ignored.
+        let mut s = Lfsr::new(15, &[15, 14], 0x1234);
+        let noisy: Vec<u8> = (0..803)
+            .map(|i| (i as u8).wrapping_mul(37) & 0xfe | s.next_bit())
+            .collect();
+        for len in [0, 1, 7, 8, 9, 63, 64, 65, 803] {
+            assert_eq!(
+                pack_msb_first(&noisy[..len]),
+                fold_pack(&noisy[..len]),
+                "len {len}"
+            );
+        }
+        let mut out = vec![0xaa];
+        pack_msb_first_into(&[1, 0, 1], &mut out);
+        unpack_msb_first_into(&[0x81], &mut out);
+        assert_eq!(out, vec![0xaa, 0b1010_0000, 1, 0, 0, 0, 0, 0, 0, 1]);
     }
 
     #[test]

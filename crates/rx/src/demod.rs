@@ -17,6 +17,9 @@ pub struct OfdmDemodulator {
     cp_len: usize,
     pilots: PilotGenerator,
     params: OfdmParams,
+    /// Carrier lists per pilot position phase (`symbol_index %
+    /// position_period`), built once in `new`.
+    phases: Vec<PhaseCarriers>,
     /// Window buffer and FFT scratch reused by the `&self` entry points,
     /// so a symbol allocates nothing but the cell list it returns.
     work: Mutex<Spectrum>,
@@ -31,9 +34,19 @@ impl Clone for OfdmDemodulator {
             cp_len: self.cp_len,
             pilots: self.pilots.clone(),
             params: self.params.clone(),
+            phases: self.phases.clone(),
             work: Mutex::default(),
         }
     }
+}
+
+/// The carriers of one pilot position phase, each list ascending.
+#[derive(Debug, Clone)]
+struct PhaseCarriers {
+    /// Data carriers: the map's, minus this phase's pilots.
+    data: Vec<i32>,
+    /// Every occupied carrier: pilots and data.
+    occupied: Vec<i32>,
 }
 
 /// One symbol's FFT window and the scratch its transform reuses: held
@@ -49,12 +62,24 @@ impl OfdmDemodulator {
     pub fn new(params: OfdmParams) -> Self {
         let fft_size = params.map.fft_size();
         let cp_len = params.guard.samples(fft_size);
+        let pilots = PilotGenerator::new(params.pilots.clone());
+        let phases = (0..pilots.position_period())
+            .map(|phase| {
+                let pilot_carriers = pilots.carriers(phase);
+                let data = params.map.data_excluding(&pilot_carriers);
+                let mut occupied = pilot_carriers;
+                occupied.extend(&data);
+                occupied.sort_unstable();
+                PhaseCarriers { data, occupied }
+            })
+            .collect();
         OfdmDemodulator {
             fft: fft::plan(fft_size),
             fft_size,
             cp_len,
-            pilots: PilotGenerator::new(params.pilots.clone()),
+            pilots,
             params,
+            phases,
             work: Mutex::default(),
         }
     }
@@ -135,14 +160,9 @@ impl OfdmDemodulator {
         (occupied.max(1) as f64).sqrt() / self.fft_size as f64
     }
 
-    /// All occupied carriers of data symbol `symbol_index`, sorted.
-    fn symbol_carriers(&self, symbol_index: usize) -> Vec<i32> {
-        let pilot_carriers = self.pilots.carriers(symbol_index);
-        let data = self.params.map.data_excluding(&pilot_carriers);
-        let mut carriers: Vec<i32> = pilot_carriers;
-        carriers.extend(data);
-        carriers.sort_unstable();
-        carriers
+    /// The carrier lists of data symbol `symbol_index`'s pilot phase.
+    fn phase(&self, symbol_index: usize) -> &PhaseCarriers {
+        &self.phases[symbol_index % self.phases.len()]
     }
 
     /// Extracts `(carrier, value)` cells from a forward-FFT'd symbol,
@@ -172,7 +192,7 @@ impl OfdmDemodulator {
         bins.clear();
         bins.extend_from_slice(&samples[start..start + self.fft_size]);
         self.fft.forward_in(bins, scratch);
-        Some(self.extract_cells(bins, &self.symbol_carriers(symbol_index)))
+        Some(self.extract_cells(bins, &self.phase(symbol_index).occupied))
     }
 
     /// Split-slice variant of [`OfdmDemodulator::demodulate_at`]: reads the
@@ -191,7 +211,7 @@ impl OfdmDemodulator {
     ) -> Option<Vec<(i32, Complex64)>> {
         let mut work = self.work();
         let freq = self.spectrum(re, im, offset, &mut work)?;
-        Some(self.extract_cells(freq, &self.symbol_carriers(symbol_index)))
+        Some(self.extract_cells(freq, &self.phase(symbol_index).occupied))
     }
 
     /// Demodulates an arbitrary carrier set of the symbol at `offset` in
@@ -213,10 +233,9 @@ impl OfdmDemodulator {
     }
 
     /// The data carriers of symbol `symbol_index` (used band minus that
-    /// symbol's pilots).
-    pub fn data_carriers(&self, symbol_index: usize) -> Vec<i32> {
-        let pilot_carriers = self.pilots.carriers(symbol_index);
-        self.params.map.data_excluding(&pilot_carriers)
+    /// symbol's pilots), ascending.
+    pub fn data_carriers(&self, symbol_index: usize) -> &[i32] {
+        &self.phase(symbol_index).data
     }
 
     /// The pilot cells the transmitter placed in symbol `symbol_index`.
@@ -320,7 +339,7 @@ mod tests {
                 .map(|&k| (k, window[k.rem_euclid(64) as usize].scale(scale)))
                 .collect();
             let got = demod
-                .demodulate_carriers_parts(&re, &im, s * sym_len, &carriers)
+                .demodulate_carriers_parts(&re, &im, s * sym_len, carriers)
                 .unwrap();
             assert_eq!(got, want, "symbol {s} carrier set must match bit-exactly");
         }
@@ -344,5 +363,41 @@ mod tests {
         assert_eq!(data.len(), 48);
         assert!(!data.contains(&7));
         assert_eq!(demod.pilot_cells(0).len(), 4);
+    }
+
+    #[test]
+    fn phase_carrier_lists_match_the_per_symbol_rebuild() {
+        // The per-symbol list the precomputed phases replaced: pilots of
+        // the symbol, the map's data minus them, sorted together.
+        for id in [
+            ofdm_standards::StandardId::DvbT,
+            ofdm_standards::StandardId::Drm,
+            ofdm_standards::StandardId::Ieee80211a,
+            ofdm_standards::StandardId::Adsl,
+        ] {
+            let params = ofdm_standards::default_params(id);
+            let demod = OfdmDemodulator::new(params.clone());
+            let pilots = PilotGenerator::new(params.pilots.clone());
+            let mut tx = MotherModel::new(params.clone()).unwrap();
+            let payload: Vec<u8> = (0..3 * params.nominal_bits_per_symbol())
+                .map(|i| ((i * 7 + i / 5) % 2) as u8)
+                .collect();
+            let frame = tx.transmit(&payload).unwrap();
+            let (re, im) = frame.signal().parts();
+            let offset = frame.signal().len() - frame.symbol_count() * demod.symbol_len();
+            for s in 0..frame.symbol_count() {
+                let pilot_carriers = pilots.carriers(s);
+                let data = params.map.data_excluding(&pilot_carriers);
+                assert_eq!(demod.data_carriers(s), &data[..], "{id} symbol {s}");
+                let mut occupied = pilot_carriers;
+                occupied.extend(&data);
+                occupied.sort_unstable();
+                let cells = demod
+                    .demodulate_at_parts(re, im, offset + s * demod.symbol_len(), s)
+                    .unwrap();
+                let carriers: Vec<i32> = cells.iter().map(|c| c.0).collect();
+                assert_eq!(carriers, occupied, "{id} symbol {s}");
+            }
+        }
     }
 }

@@ -161,12 +161,12 @@ impl ReferenceReceiver {
         };
         let plans = phase_pilots
             .iter()
-            .map(|pilot_carriers| {
-                let data: Vec<PlannedCell> = params
-                    .map
-                    .data_excluding(pilot_carriers)
-                    .into_iter()
-                    .map(|k| {
+            .enumerate()
+            .map(|(phase, pilot_carriers)| {
+                let data: Vec<PlannedCell> = demod
+                    .data_carriers(phase)
+                    .iter()
+                    .map(|&k| {
                         // Bit loading is indexed by the carrier's position
                         // in the full (un-displaced) data list, as on the
                         // transmit side.

@@ -104,7 +104,7 @@ fn reference(
         }
         let data_carriers = demod.data_carriers(symbol_index);
         let all_data = params.map.data_carriers();
-        for &k in &data_carriers {
+        for &k in data_carriers {
             let idx = all_data.binary_search(&k).expect("carrier from map");
             let modulation = params.modulation.modulation_at(idx);
             let mut value = cells
