@@ -58,11 +58,17 @@ pub fn render_element(element: &PreambleElement, modulator: &SymbolModulator) ->
     }
 }
 
-/// Total net sample count a preamble contributes to a frame.
+/// Total net sample count a preamble contributes to a frame, counted
+/// without rendering: a frequency-domain symbol's cyclic prefix plus body,
+/// a raw section's length.
 pub fn preamble_len(elements: &[PreambleElement], modulator: &SymbolModulator) -> usize {
     elements
         .iter()
-        .map(|e| render_element(e, modulator).net_len())
+        .map(|e| match e {
+            PreambleElement::Null { len } => *len,
+            PreambleElement::TimeDomain(samples) => samples.len(),
+            PreambleElement::FreqDomain { .. } => modulator.cp_len() + modulator.fft_size(),
+        })
         .sum()
 }
 
@@ -127,5 +133,14 @@ mod tests {
             },
         ];
         assert_eq!(preamble_len(&elements, &m), 10 + 20 + 80);
+        // The count is the rendered sections' net length, tapered or not.
+        for taper in [0, 4] {
+            let m = SymbolModulator::new(64, GuardInterval::Samples(16), taper, false).unwrap();
+            let rendered: usize = elements
+                .iter()
+                .map(|e| render_element(e, &m).net_len())
+                .sum();
+            assert_eq!(preamble_len(&elements, &m), rendered, "taper {taper}");
+        }
     }
 }

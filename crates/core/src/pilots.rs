@@ -54,7 +54,7 @@ impl LfsrSpec {
 
     /// The longest register a spec may describe. It bounds one period of
     /// the output at 2²⁰ − 1 bits, so a shared PRBS period table stays
-    /// under 1 MiB (and a symbol-polarity pilot sequence under 8 MiB).
+    /// under 1 MiB.
     pub const MAX_ORDER: u32 = 20;
 
     /// Checks that the register is buildable and that its output is purely
@@ -199,9 +199,12 @@ impl PilotSpec {
 #[derive(Debug, Clone)]
 pub struct PilotGenerator {
     spec: PilotSpec,
-    /// For `SymbolPolarity`: the full polarity period (127 bits for the
-    /// 802.11a generator).
-    polarity_seq: Vec<f64>,
+    /// For `SymbolPolarity`: the polarity register's shared PRBS period
+    /// (127 bits for the 802.11a generator; empty otherwise).
+    polarity: Arc<[u8]>,
+    /// For `SymbolPolarity`: `2^order − 1`, the period symbol indices are
+    /// taken modulo before they index `polarity`.
+    polarity_period: usize,
     /// Sorted per-phase cell templates, indexed by
     /// `symbol_index % position_period`. For `SymbolPolarity` the template
     /// holds the base cells (sign × boost) before the per-symbol polarity.
@@ -211,16 +214,15 @@ pub struct PilotGenerator {
 impl PilotGenerator {
     /// Builds a generator, precomputing PRBS-derived sequences and the
     /// per-phase cell templates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a symbol-polarity LFSR fails [`LfsrSpec::validate`]
+    /// (which [`crate::params::OfdmParams::validate`] checks).
     pub fn new(spec: PilotSpec) -> Self {
-        let polarity_seq = match &spec {
-            PilotSpec::SymbolPolarity { lfsr, .. } => {
-                let mut reg = lfsr.build();
-                let period = (1usize << lfsr.order) - 1;
-                (0..period)
-                    .map(|_| if reg.next_bit() == 0 { 1.0 } else { -1.0 })
-                    .collect()
-            }
-            _ => Vec::new(),
+        let (polarity, polarity_period) = match &spec {
+            PilotSpec::SymbolPolarity { lfsr, .. } => (lfsr.prbs(), (1usize << lfsr.order) - 1),
+            _ => (Arc::from([]), 1),
         };
         let templates = match &spec {
             PilotSpec::None => vec![Vec::new()],
@@ -281,7 +283,8 @@ impl PilotGenerator {
         };
         PilotGenerator {
             spec,
-            polarity_seq,
+            polarity,
+            polarity_period,
             templates,
         }
     }
@@ -305,7 +308,11 @@ impl PilotGenerator {
         let template = &self.templates[symbol_index % self.templates.len()];
         match &self.spec {
             PilotSpec::SymbolPolarity { .. } => {
-                let p = self.polarity_seq[symbol_index % self.polarity_seq.len()];
+                // Symbol `s` takes bit `s mod (2^order − 1)` of the endless
+                // register output, which the period table holds at that
+                // index modulo its own (possibly shorter) length.
+                let bit = (symbol_index % self.polarity_period) % self.polarity.len();
+                let p = if self.polarity[bit] == 0 { 1.0 } else { -1.0 };
                 // `p` is exactly ±1, so this reproduces `p·s·boost` bit for
                 // bit from the template's `s·boost`.
                 out.extend(
@@ -441,6 +448,38 @@ mod tests {
         let g = PilotGenerator::new(ieee80211a_pilots());
         assert_eq!(g.cells(0), g.cells(127));
         assert_ne!(g.cells(3), g.cells(4));
+    }
+
+    #[test]
+    fn polarity_indexing_keeps_the_register_period_for_short_cycles() {
+        // x⁴+x²+1 from seed 1 cycles every 6 bits, not 2⁴ − 1 = 15: symbol
+        // `s` still takes bit `s mod 15` of the register's output, as when
+        // the generator stepped the register 15 times into its own table.
+        let lfsr = LfsrSpec {
+            order: 4,
+            taps: vec![4, 2],
+            seed: 0b0001,
+        };
+        let g = PilotGenerator::new(PilotSpec::SymbolPolarity {
+            carriers: vec![-3, 5],
+            signs: vec![1.0, -1.0],
+            boost: 2.0,
+            lfsr: lfsr.clone(),
+        });
+        let mut reg = lfsr.build();
+        let stepped: Vec<f64> = (0..15)
+            .map(|_| if reg.next_bit() == 0 { 1.0 } else { -1.0 })
+            .collect();
+        for s in 0..50 {
+            let p = stepped[s % 15];
+            let want = vec![
+                (-3, Complex64::new(2.0 * p, 0.0)),
+                (5, Complex64::new(-2.0 * p, 0.0)),
+            ];
+            assert_eq!(g.cells(s), want, "symbol {s}");
+        }
+        // The wrap at 15 shows: symbol 16 takes bit 1, not bit 16 mod 6.
+        assert_ne!(stepped[16 % 15], stepped[16 % 6]);
     }
 
     #[test]

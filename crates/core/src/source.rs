@@ -186,11 +186,10 @@ impl Block for OfdmSource {
     fn reset(&mut self) {
         self.rng = StdRng::seed_from_u64(self.seed);
         self.model.reset();
-        // Stage timing is configuration, not state: keep the flag but drop
-        // the accumulated counters along with the rest of the stream state.
-        let timing = self.stream.stage_timing_enabled();
-        self.stream = StreamState::new();
-        self.stream.set_stage_timing(timing);
+        // Stage timing is configuration, not state: the flag stays, the
+        // accumulated counters go with the rest of the stream state. The
+        // buffers keep their capacity for the next pass.
+        self.stream.reset();
         self.needs_frame = false;
     }
 }

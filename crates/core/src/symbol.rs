@@ -61,7 +61,7 @@ impl ShapedSymbol {
 /// subcarrier grid and the FFT work buffer, grown once and reused per
 /// symbol. The grid is kept as separate re/im arrays so the IFFT runs on
 /// [`ofdm_dsp::fft::Fft::inverse_split_in`] — the split mixed-radix
-/// engine, at every size.
+/// engine, at every size. A Hermitian map's grid is its half spectrum.
 #[derive(Debug, Clone, Default)]
 pub struct SymbolScratch {
     grid_re: Vec<f64>,
@@ -81,8 +81,18 @@ impl SymbolScratch {
 /// The FFT plan comes from the process-wide [`ofdm_dsp::fft::plan`] cache,
 /// so modulators for the same FFT size (across symbols, reconfigurations
 /// and scenario threads) share one set of twiddles.
+///
+/// A Hermitian (DMT) map's body is real, so it is synthesised at half
+/// length: the half spectrum `X[0..=N/2]` is pre-twiddled into `N/2`
+/// complex points `Z[k] = E[k] + i·O[k]`, with `E` and `O` the spectra of
+/// the even and odd samples (from `X[k+N/2] = conj X[N/2−k]`), and one
+/// `N/2`-point inverse yields the even samples in `re` and the odd samples
+/// in `im`. The mirrored half is never written, and the body's imaginary
+/// part is exactly `+0.0`.
 #[derive(Debug, Clone)]
 pub struct SymbolModulator {
+    /// The `fft_size`-point plan, or the `fft_size/2`-point plan of a
+    /// Hermitian map.
     fft: Arc<Fft>,
     fft_size: usize,
     cp_len: usize,
@@ -94,12 +104,13 @@ impl SymbolModulator {
     /// Creates a modulator.
     ///
     /// `taper_len` is the raised-cosine edge length in samples (0 disables
-    /// shaping); in Hermitian mode the IFFT input is mirrored so the output
-    /// is real-valued (DMT).
+    /// shaping); in Hermitian mode the IFFT input is conjugate-symmetric so
+    /// the output is real-valued (DMT).
     ///
     /// # Errors
     ///
-    /// * [`ConfigError::BadFftSize`] for `fft_size < 4`.
+    /// * [`ConfigError::BadFftSize`] for `fft_size < 4`, or an odd
+    ///   `fft_size` in Hermitian mode.
     /// * [`ConfigError::BadCyclicPrefix`] if the guard is not shorter than
     ///   the symbol.
     /// * [`ConfigError::TaperTooLong`] if the taper exceeds the cyclic
@@ -110,7 +121,7 @@ impl SymbolModulator {
         taper_len: usize,
         hermitian: bool,
     ) -> Result<Self, ConfigError> {
-        if fft_size < 4 {
+        if fft_size < 4 || (hermitian && !fft_size.is_multiple_of(2)) {
             return Err(ConfigError::BadFftSize(fft_size));
         }
         let cp_len = guard.samples(fft_size);
@@ -127,7 +138,7 @@ impl SymbolModulator {
             });
         }
         Ok(SymbolModulator {
-            fft: fft::plan(fft_size),
+            fft: fft::plan(if hermitian { fft_size / 2 } else { fft_size }),
             fft_size,
             cp_len,
             taper: raised_cosine_edge(taper_len),
@@ -189,16 +200,35 @@ impl SymbolModulator {
         out: &mut ShapedSymbol,
     ) {
         let n = self.fft_size;
+        // Renormalize to unit power for unit-energy cells: N / √occupied,
+        // a Hermitian cell occupying its bin and the mirror bin.
+        let occupied = if self.hermitian { 2 } else { 1 } * cells.len();
+        let scale = if occupied > 0 {
+            n as f64 / (occupied as f64).sqrt()
+        } else {
+            0.0
+        };
         let SymbolScratch {
             grid_re,
             grid_im,
             fft,
         } = scratch;
+        if self.hermitian {
+            self.synthesise_real(cells, scale, grid_re, grid_im, fft);
+            let (z_re, z_im) = (&grid_re[..n / 2], &grid_im[..n / 2]);
+            // De-interleave: sample 2t is Re z[t], sample 2t+1 is Im z[t].
+            self.shape_into(out, |body| {
+                for ((pair, &even), &odd) in body.chunks_exact_mut(2).zip(z_re).zip(z_im) {
+                    pair[0] = Complex64::new(even, 0.0);
+                    pair[1] = Complex64::new(odd, 0.0);
+                }
+            });
+            return;
+        }
         grid_re.clear();
         grid_re.resize(n, 0.0);
         grid_im.clear();
         grid_im.resize(n, 0.0);
-        let mut occupied = 0usize;
         for &(k, v) in cells {
             let bin = if k >= 0 {
                 k as usize
@@ -208,84 +238,77 @@ impl SymbolModulator {
             debug_assert!(bin < n, "carrier {k} outside the grid");
             grid_re[bin] = v.re;
             grid_im[bin] = v.im;
-            occupied += 1;
-            if self.hermitian {
-                debug_assert!(k > 0 && (k as usize) < n / 2);
-                grid_re[n - k as usize] = v.re;
-                grid_im[n - k as usize] = -v.im;
-                occupied += 1;
+        }
+        // The inverse scales by 1/N; `scale` restores unit power.
+        self.fft.inverse_split_in(grid_re, grid_im, fft);
+        self.shape_into(out, |body| {
+            for ((z, &re), &im) in body.iter_mut().zip(grid_re.iter()).zip(grid_im.iter()) {
+                *z = Complex64::new(re * scale, im * scale);
+            }
+        });
+    }
+
+    /// Leaves `z[t] = x[2t] + i·x[2t+1]` in `re[..N/2]`, `im[..N/2]`, where
+    /// `x` is the real `N`-point inverse of the Hermitian spectrum `cells`
+    /// (positive carriers only) times `scale`.
+    fn synthesise_real(
+        &self,
+        cells: &[(i32, Complex64)],
+        scale: f64,
+        re: &mut Vec<f64>,
+        im: &mut Vec<f64>,
+        fft: &mut FftScratch,
+    ) {
+        let h = self.fft_size / 2;
+        re.clear();
+        re.resize(h + 1, 0.0);
+        im.clear();
+        im.resize(h + 1, 0.0);
+        for &(k, v) in cells {
+            debug_assert!(
+                k > 0 && (k as usize) < h,
+                "carrier {k} outside the half grid"
+            );
+            re[k as usize] = v.re;
+            im[k as usize] = v.im;
+        }
+        // With A = X[k] and B = X[k+h] = conj X[h−k]: E = (A+B)/2 and
+        // O = (A−B)/2 · e^{+iπk/h}, both times `scale`. The partner bin h−k
+        // reads the same two values and gets Z[h−k] = conj E + i·conj O,
+        // so each pair is rewritten in place.
+        let (t_re, t_im) = self.fft.real_twiddles();
+        let c = 0.5 * scale;
+        for k in 0..=h / 2 {
+            let (ar, ai) = (re[k], im[k]);
+            let (br, bi) = (re[h - k], -im[h - k]);
+            let (er, ei) = ((ar + br) * c, (ai + bi) * c);
+            let (dr, di) = ((ar - br) * c, (ai - bi) * c);
+            let (or, oi) = (dr * t_re[k] - di * t_im[k], dr * t_im[k] + di * t_re[k]);
+            re[k] = er - oi;
+            im[k] = ei + or;
+            if h - k != k {
+                re[h - k] = er + oi;
+                im[h - k] = or - ei;
             }
         }
-        self.fft.inverse_split_in(grid_re, grid_im, fft);
-        // fft.inverse scales by 1/N; renormalize to unit power for
-        // unit-energy cells: multiply by N / √occupied.
-        let scale = if occupied > 0 {
-            n as f64 / (occupied as f64).sqrt()
-        } else {
-            0.0
-        };
-        ofdm_dsp::kernels::scale_split(grid_re, grid_im, scale);
-        self.shape_split_into(grid_re, grid_im, out);
+        // The inverse's 1/h is the 1/N of the full-length inverse with the
+        // halves of E and O.
+        self.fft.inverse_split_in(&mut re[..h], &mut im[..h], fft);
     }
 
-    /// Applies cyclic prefix, cyclic suffix (taper region) and
-    /// raised-cosine edges to an `fft_size`-sample body.
-    fn shape(&self, body: Vec<Complex64>) -> ShapedSymbol {
-        let mut out = ShapedSymbol::default();
-        self.shape_into(&body, &mut out);
-        out
-    }
-
-    /// [`SymbolModulator::shape_into`] for a split-layout body: interleaves
-    /// straight from the IFFT's re/im arrays while laying down CP, body and
-    /// cyclic suffix, then applies the raised-cosine edges.
-    fn shape_split_into(&self, body_re: &[f64], body_im: &[f64], out: &mut ShapedSymbol) {
-        let w = self.taper.len();
-        let n = self.fft_size;
+    /// Lays down one shaped symbol in `out`: `fill` writes the
+    /// `fft_size`-sample body, which is then extended by the cyclic prefix
+    /// and the cyclic suffix (taper region) and given raised-cosine edges.
+    fn shape_into(&self, out: &mut ShapedSymbol, fill: impl FnOnce(&mut [Complex64])) {
+        let (w, n, cp) = (self.taper.len(), self.fft_size, self.cp_len);
         let samples = &mut out.samples;
         samples.clear();
-        samples.reserve(self.cp_len + n + w);
-        let interleave = |samples: &mut Vec<Complex64>, re: &[f64], im: &[f64]| {
-            samples.extend(
-                re.iter()
-                    .zip(im.iter())
-                    .map(|(&r, &i)| Complex64::new(r, i)),
-            );
-        };
-        // Cyclic prefix.
-        interleave(
-            samples,
-            &body_re[n - self.cp_len..],
-            &body_im[n - self.cp_len..],
-        );
-        // Body.
-        interleave(samples, body_re, body_im);
-        // Cyclic suffix: first w samples repeated for the falling edge.
-        interleave(samples, &body_re[..w], &body_im[..w]);
-        // Rising edge over the first w samples, falling over the last w.
-        for i in 0..w {
-            let rise = self.taper[i];
-            samples[i] = samples[i].scale(rise);
-            let fall = self.taper[w - 1 - i];
-            let last = samples.len() - w + i;
-            samples[last] = samples[last].scale(fall);
-        }
-        out.overlap = w;
-    }
-
-    /// [`SymbolModulator::shape`] into a reused buffer.
-    fn shape_into(&self, body: &[Complex64], out: &mut ShapedSymbol) {
-        let w = self.taper.len();
-        let n = self.fft_size;
-        let samples = &mut out.samples;
-        samples.clear();
-        samples.reserve(self.cp_len + n + w);
-        // Cyclic prefix.
-        samples.extend_from_slice(&body[n - self.cp_len..]);
-        // Body.
-        samples.extend_from_slice(body);
-        // Cyclic suffix: first w samples repeated for the falling edge.
-        samples.extend_from_slice(&body[..w]);
+        samples.resize(cp + n + w, Complex64::ZERO);
+        fill(&mut samples[cp..cp + n]);
+        // Cyclic prefix: the body's last `cp` samples.
+        samples.copy_within(n..n + cp, 0);
+        // Cyclic suffix: the body's first `w` samples, for the falling edge.
+        samples.copy_within(cp..cp + w, cp + n);
         // Rising edge over the first w samples, falling over the last w.
         for i in 0..w {
             let rise = self.taper[i];
@@ -305,7 +328,9 @@ impl SymbolModulator {
     /// Panics if `body.len() != fft_size`.
     pub fn shape_time_domain(&self, body: Vec<Complex64>) -> ShapedSymbol {
         assert_eq!(body.len(), self.fft_size, "body must be fft_size samples");
-        self.shape(body)
+        let mut out = ShapedSymbol::default();
+        self.shape_into(&mut out, |dst| dst.copy_from_slice(&body));
+        out
     }
 }
 
@@ -397,7 +422,7 @@ mod tests {
             .collect();
         let s = m.modulate(&cells);
         for z in &s.samples {
-            assert!(z.im.abs() < 1e-9, "imag leak {}", z.im);
+            assert_eq!(z.im.to_bits(), 0, "imag leak {}", z.im);
         }
         // Body power is exactly 1 (200 occupied unit-energy bins after
         // mirroring); the CP section adds a small deviation.

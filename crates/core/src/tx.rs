@@ -28,9 +28,7 @@
 use crate::constellation::{AxisTables, Modulation};
 use crate::error::{ConfigError, TxError};
 use crate::fec::{ConvCode, ReedSolomon};
-use crate::framing::render_element;
-#[cfg(test)]
-use crate::framing::PreambleElement;
+use crate::framing::{render_element, PreambleElement};
 use crate::interleave::Interleaver;
 use crate::params::{ModulationPlan, OfdmParams};
 use crate::pilots::PilotGenerator;
@@ -217,6 +215,25 @@ impl StreamState {
     /// `true` once every sample of the current frame has been emitted.
     pub fn is_finished(&self) -> bool {
         self.done && self.read == self.buf.len()
+    }
+
+    /// Returns the state to what [`StreamState::new`] holds — no frame, no
+    /// logged cells, zeroed stage timings — while keeping every buffer's
+    /// capacity and the stage-timing and cell-logging flags, so a reset
+    /// stream re-allocates nothing on its next frame.
+    pub fn reset(&mut self) {
+        self.coded.clear();
+        self.packed.clear();
+        self.cursor = 0;
+        self.preamble_idx = 0;
+        self.buf.clear();
+        self.read = 0;
+        self.finalized = 0;
+        self.done = false;
+        self.cells.clear();
+        self.cells_log.clear();
+        self.payload_bits = 0;
+        self.stages = StageNanos::default();
     }
 }
 
@@ -613,14 +630,27 @@ impl MotherModel {
     /// Produces the next section (preamble element or data symbol) into the
     /// carry window. Returns `false` when the frame has no more sections.
     fn produce_section(&mut self, state: &mut StreamState) -> bool {
-        if state.preamble_idx < self.params.preamble.len() {
-            let s = render_element(&self.params.preamble[state.preamble_idx], &self.modulator);
+        if let Some(element) = self.params.preamble.get(state.preamble_idx) {
             state.preamble_idx += 1;
+            // A frequency-domain element is a symbol like any other: it is
+            // modulated into the stream's reused buffers.
+            let rendered;
+            let section = match element {
+                PreambleElement::FreqDomain { cells } => {
+                    self.modulator
+                        .modulate_into(cells, &mut state.scratch, &mut state.symbol);
+                    &state.symbol
+                }
+                other => {
+                    rendered = render_element(other, &self.modulator);
+                    &rendered
+                }
+            };
             push_overlap_add(
                 &mut state.buf,
                 &mut state.finalized,
-                &s.samples,
-                s.net_len(),
+                &section.samples,
+                section.net_len(),
             );
             return true;
         }
@@ -997,8 +1027,10 @@ mod tests {
             .unwrap();
         let mut tx = MotherModel::new(p).unwrap();
         let frame = tx.transmit(&bits(1000)).unwrap();
+        // Half-length synthesis writes a real body: the imaginary part is
+        // exactly +0.0, not merely small.
         for z in frame.samples() {
-            assert!(z.im.abs() < 1e-9);
+            assert_eq!(z.im.to_bits(), 0, "imag leak {}", z.im);
         }
     }
 
@@ -1107,6 +1139,47 @@ mod tests {
             while tx_b.stream_into(&mut state, 13, &mut streamed) > 0 {}
             assert_eq!(frame.samples(), &streamed[..], "frame={frame_no}");
         }
+    }
+
+    #[test]
+    fn reset_stream_state_keeps_buffers_and_flags() {
+        let mut p = minimal_test_params();
+        p.taper_len = 4;
+        p.preamble = vec![PreambleElement::Null { len: 23 }];
+        let payload = bits(3 * 24 + 5);
+        let mut tx = MotherModel::new(p).unwrap();
+        let mut state = StreamState::new();
+        state.set_stage_timing(true);
+        state.set_cell_logging(true);
+        let mut first = Vec::new();
+        tx.begin_stream(&payload, &mut state).unwrap();
+        while tx.stream_into(&mut state, 37, &mut first) > 0 {}
+        let capacities = |s: &StreamState| {
+            (
+                s.packed.capacity(),
+                s.buf.capacity(),
+                s.cells.capacity(),
+                s.symbol.samples.capacity(),
+            )
+        };
+        let warm = capacities(&state);
+        state.reset();
+        assert_eq!(capacities(&state), warm);
+        assert_eq!((state.coded_bits(), state.payload_bits()), (0, 0));
+        assert!(!state.is_finished());
+        assert_eq!(state.stage_nanos(), StageNanos::default());
+        assert!(state.take_symbol_cells().is_empty());
+        assert!(state.stage_timing_enabled());
+        // A reset model on the reset state repeats the frame, logging and
+        // timing it again.
+        tx.reset();
+        let mut again = Vec::new();
+        tx.begin_stream(&payload, &mut state).unwrap();
+        while tx.stream_into(&mut state, 37, &mut again) > 0 {}
+        assert_eq!(first, again);
+        assert_eq!(capacities(&state), warm);
+        assert_eq!(state.stage_nanos().symbols, 4);
+        assert_eq!(state.take_symbol_cells().len(), 4);
     }
 
     #[test]

@@ -54,6 +54,8 @@ pub struct Fft {
     /// other length, run `mixed`.
     radix2: Option<Radix2>,
     mixed: MixedRadix,
+    /// [`Fft::real_twiddles`], built on first use.
+    real_tw: OnceLock<Vec<f64>>,
 }
 
 impl Fft {
@@ -68,6 +70,7 @@ impl Fft {
             n,
             radix2: n.is_power_of_two().then(|| Radix2::new(n)),
             mixed: MixedRadix::new(n),
+            real_tw: OnceLock::new(),
         }
     }
 
@@ -81,6 +84,28 @@ impl Fft {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.n == 0
+    }
+
+    /// The pre-twiddles that synthesise a real signal of twice this plan's
+    /// length `n` with one `n`-point inverse: `e^{+iπk/n}` for
+    /// `k in 0..=n/2`, as `(re, im)`.
+    ///
+    /// Built on the first call and kept with the plan, so through the
+    /// process-wide [`plan`] cache a size builds them once per process, and
+    /// plans that never synthesise a real signal never build them.
+    pub fn real_twiddles(&self) -> (&[f64], &[f64]) {
+        let h = self.n / 2 + 1;
+        self.real_tw
+            .get_or_init(|| {
+                let w: Vec<Complex64> = (0..h)
+                    .map(|k| Complex64::cis(PI * k as f64 / self.n as f64))
+                    .collect();
+                w.iter()
+                    .map(|w| w.re)
+                    .chain(w.iter().map(|w| w.im))
+                    .collect()
+            })
+            .split_at(h)
     }
 
     /// In-place forward DFT: `X[k] = Σ_n x[n] e^{-i 2π k n / N}` (no scaling).
@@ -305,8 +330,9 @@ const SIN_2PI_3: f64 = 0.866_025_403_784_438_6;
 /// Each recursion level splits its length `n = r·m` into `r` interleaved
 /// length-`m` subsequences, transforms them into contiguous slices of the
 /// output, and combines them with one radix-`r` butterfly level: a flat
-/// loop over the `r` slices with twiddles read from one precomputed root
-/// table, with no complex-struct shuffling to block the autovectorizer.
+/// loop over the `r` slices that walks the level's own twiddle table in
+/// order, with no strided gathers or complex-struct shuffling to block the
+/// autovectorizer.
 ///
 /// The levels, outermost first, are radix 4 while four divides the length,
 /// then the odd prime factors in ascending order, then a radix-2 leaf when
@@ -317,15 +343,30 @@ const SIN_2PI_3: f64 = 0.866_025_403_784_438_6;
 /// generic butterfly that pairs conjugate-symmetric terms: `O(p)` work per
 /// output, so a length with a large prime factor costs `O(n·p)` rather than
 /// `O(n log n)`. No shipped standard has a prime factor above 11.
+///
+/// Every twiddle is `W_N^j = e^{-i 2π j / N}`, evaluated at the index `j`
+/// a single root table would be read at (`W_n^k = W_N^{k·N/n}`), so the
+/// per-level tables fix where a value is read from, never its bits. A
+/// power of two's tables hold `Σ 6q < 2N` words, less than the `2N` of
+/// one root table. A radix-4 level over one-point leaves (the bottom of
+/// `4^k`) reads its four inputs straight from the source.
 #[derive(Debug, Clone)]
 struct MixedRadix {
-    n: usize,
-    /// The radix of each recursion level, outermost first.
-    radices: Vec<usize>,
-    /// Root twiddle table, `w[j] = e^{-i 2π j / N}` for `j in 0..N`:
-    /// `W_n^k` at any recursion level `n` is `w[k·(N/n)]`.
-    tw_re: Vec<f64>,
-    tw_im: Vec<f64>,
+    /// The recursion levels, outermost first.
+    levels: Vec<Level>,
+}
+
+/// One recursion level of a [`MixedRadix`] plan.
+#[derive(Debug, Clone)]
+struct Level {
+    radix: usize,
+    /// `W_n^{j·k}` (`n` the level's length, `m = n / radix`) for `j in
+    /// 1..radix`, `k in 0..m`: per `j`, `m` real parts then `m` imaginary
+    /// parts. The radix-2 leaf never reads its one entry.
+    tw: Vec<f64>,
+    /// Generic odd-prime levels only: `W_p^e` for `e in 0..p`, the `p` real
+    /// parts then the `p` imaginary parts.
+    rot: Vec<f64>,
 }
 
 impl MixedRadix {
@@ -354,19 +395,33 @@ impl MixedRadix {
         if leaf2 {
             radices.push(2);
         }
-        let mut tw_re = Vec::with_capacity(n);
-        let mut tw_im = Vec::with_capacity(n);
-        for j in 0..n {
-            let w = Complex64::cis(-2.0 * PI * j as f64 / n as f64);
-            tw_re.push(w.re);
-            tw_im.push(w.im);
-        }
-        MixedRadix {
-            n,
-            radices,
-            tw_re,
-            tw_im,
-        }
+        let root = |j: usize| Complex64::cis(-2.0 * PI * j as f64 / n as f64);
+        let mut len = n;
+        let levels = radices
+            .into_iter()
+            .map(|r| {
+                let m = len / r;
+                let step = n / len;
+                len = m;
+                let mut tw = vec![0.0; 2 * (r - 1) * m];
+                for (j, row) in (1..r).zip(tw.chunks_exact_mut(2 * m)) {
+                    let (re, im) = row.split_at_mut(m);
+                    for k in 0..m {
+                        let w = root(j * k * step);
+                        re[k] = w.re;
+                        im[k] = w.im;
+                    }
+                }
+                let mut rot = Vec::new();
+                if r > 4 {
+                    let w: Vec<Complex64> = (0..r).map(|e| root(e * (n / r))).collect();
+                    rot.extend(w.iter().map(|w| w.re));
+                    rot.extend(w.iter().map(|w| w.im));
+                }
+                Level { radix: r, tw, rot }
+            })
+            .collect();
+        MixedRadix { levels }
     }
 
     /// Out-of-place transform: reads `(src_re, src_im)`, writes
@@ -381,21 +436,23 @@ impl MixedRadix {
         odd: &mut Vec<f64>,
         dir: Direction,
     ) {
-        let widest = self.radices.iter().copied().max().unwrap_or(1);
+        let widest = self.levels.iter().map(|l| l.radix).max().unwrap_or(1);
         odd.resize(2 * (widest - 1), 0.0);
         let mut pass = Pass {
             src_re,
             src_im,
             odd,
-            dir,
         };
-        self.rec(&mut pass, 0, 0, 1, dst_re, dst_im);
+        match dir {
+            Direction::Forward => self.rec::<false>(&mut pass, 0, 0, 1, dst_re, dst_im),
+            Direction::Inverse => self.rec::<true>(&mut pass, 0, 0, 1, dst_re, dst_im),
+        }
     }
 
     /// Transforms the `dst.len()`-point subsequence of the source starting
     /// at `base` with the given `stride` into `dst`, from recursion `level`
-    /// on.
-    fn rec(
+    /// on. `INV` selects the inverse (conjugated twiddles).
+    fn rec<const INV: bool>(
         &self,
         pass: &mut Pass<'_>,
         level: usize,
@@ -409,8 +466,12 @@ impl MixedRadix {
             pass.leaf(base, stride, dst_re, dst_im);
             return;
         }
-        let r = self.radices[level];
-        let m = n / r;
+        let Level { radix: r, tw, rot } = &self.levels[level];
+        let (r, m) = (*r, n / r);
+        if r == 4 && m == 1 {
+            pass.bottom4::<INV>(tw, base, stride, dst_re, dst_im);
+            return;
+        }
         let sub = stride * r;
         for (j, (d_re, d_im)) in dst_re
             .chunks_exact_mut(m)
@@ -422,193 +483,175 @@ impl MixedRadix {
             if m <= 2 {
                 pass.leaf(start, sub, d_re, d_im);
             } else {
-                self.rec(pass, level + 1, start, sub, d_re, d_im);
+                self.rec::<INV>(pass, level + 1, start, sub, d_re, d_im);
             }
         }
         match r {
-            4 => self.combine4(dst_re, dst_im, m, pass.dir),
-            3 => self.combine3(dst_re, dst_im, m, pass.dir),
-            _ => self.combine_odd(dst_re, dst_im, r, m, pass.odd, pass.dir),
+            4 => combine4::<INV>(tw, dst_re, dst_im, m),
+            3 => combine3::<INV>(tw, dst_re, dst_im, m),
+            _ => combine_odd::<INV>(tw, rot, dst_re, dst_im, r, m, pass.odd),
         }
     }
+}
 
-    /// The radix-4 butterfly level: combines four length-`q` quarter
-    /// transforms sitting contiguously in `dst` into one length-`4q`
-    /// transform.
-    fn combine4(&self, dst_re: &mut [f64], dst_im: &mut [f64], q: usize, dir: Direction) {
-        // Twiddle index step for this level: W_n^k = w[k · (N/n)].
-        let step = self.n / (4 * q);
-        let (d01_re, d23_re) = dst_re.split_at_mut(2 * q);
-        let (d0_re, d1_re) = d01_re.split_at_mut(q);
-        let (d2_re, d3_re) = d23_re.split_at_mut(q);
-        let (d01_im, d23_im) = dst_im.split_at_mut(2 * q);
-        let (d0_im, d1_im) = d01_im.split_at_mut(q);
-        let (d2_im, d3_im) = d23_im.split_at_mut(q);
-        let inverse = dir == Direction::Inverse;
-        for k in 0..q {
-            let j = k * step;
-            let (w1r, mut w1i) = (self.tw_re[j], self.tw_im[j]);
-            let (w2r, mut w2i) = (self.tw_re[2 * j], self.tw_im[2 * j]);
-            let (w3r, mut w3i) = (self.tw_re[3 * j], self.tw_im[3 * j]);
-            if inverse {
-                w1i = -w1i;
-                w2i = -w2i;
-                w3i = -w3i;
-            }
-            let (ar, ai) = (d0_re[k], d0_im[k]);
-            let (br, bi) = (
-                d1_re[k] * w1r - d1_im[k] * w1i,
-                d1_re[k] * w1i + d1_im[k] * w1r,
-            );
-            let (cr, ci) = (
-                d2_re[k] * w2r - d2_im[k] * w2i,
-                d2_re[k] * w2i + d2_im[k] * w2r,
-            );
-            let (dr, di) = (
-                d3_re[k] * w3r - d3_im[k] * w3i,
-                d3_re[k] * w3i + d3_im[k] * w3r,
-            );
-            let (t0r, t0i) = (ar + cr, ai + ci);
-            let (t1r, t1i) = (ar - cr, ai - ci);
-            let (t2r, t2i) = (br + dr, bi + di);
-            let (t3r, t3i) = (br - dr, bi - di);
-            d0_re[k] = t0r + t2r;
-            d0_im[k] = t0i + t2i;
-            d2_re[k] = t0r - t2r;
-            d2_im[k] = t0i - t2i;
-            // Forward: X[k+q] = t1 − i·t3, X[k+3q] = t1 + i·t3 (swapped
-            // for the inverse). ±i·(x+iy) = ∓y ± ix.
-            if inverse {
-                d1_re[k] = t1r - t3i;
-                d1_im[k] = t1i + t3r;
-                d3_re[k] = t1r + t3i;
-                d3_im[k] = t1i - t3r;
-            } else {
-                d1_re[k] = t1r + t3i;
-                d1_im[k] = t1i - t3r;
-                d3_re[k] = t1r - t3i;
-                d3_im[k] = t1i + t3r;
-            }
-        }
+/// `x·w`, with `w` conjugated for the inverse transform.
+#[inline(always)]
+fn twiddle<const INV: bool>((re, im): (f64, f64), (wr, wi): (f64, f64)) -> (f64, f64) {
+    let wi = if INV { -wi } else { wi };
+    (re * wr - im * wi, re * wi + im * wr)
+}
+
+/// One radix-4 butterfly: `x[0]` and the twiddled `x[1]·w[0]`, `x[2]·w[1]`,
+/// `x[3]·w[2]` in, the four outputs (`k`, `k+q`, `k+2q`, `k+3q`) out.
+#[inline(always)]
+fn butterfly4<const INV: bool>(x: [(f64, f64); 4], w: [(f64, f64); 3]) -> [(f64, f64); 4] {
+    let (ar, ai) = x[0];
+    let (br, bi) = twiddle::<INV>(x[1], w[0]);
+    let (cr, ci) = twiddle::<INV>(x[2], w[1]);
+    let (dr, di) = twiddle::<INV>(x[3], w[2]);
+    let (t0r, t0i) = (ar + cr, ai + ci);
+    let (t1r, t1i) = (ar - cr, ai - ci);
+    let (t2r, t2i) = (br + dr, bi + di);
+    let (t3r, t3i) = (br - dr, bi - di);
+    // Forward: X[k+q] = t1 − i·t3, X[k+3q] = t1 + i·t3 (swapped for the
+    // inverse). ±i·(x+iy) = ∓y ± ix.
+    let (minus, plus) = ((t1r + t3i, t1i - t3r), (t1r - t3i, t1i + t3r));
+    let (y1, y3) = if INV { (plus, minus) } else { (minus, plus) };
+    [(t0r + t2r, t0i + t2i), y1, (t0r - t2r, t0i - t2i), y3]
+}
+
+/// The radix-4 butterfly level: combines four length-`q` quarter
+/// transforms sitting contiguously in `dst` into one length-`4q`
+/// transform, walking the level's `w¹, w², w³` rows in step with `k`.
+fn combine4<const INV: bool>(tw: &[f64], dst_re: &mut [f64], dst_im: &mut [f64], q: usize) {
+    let (d01_re, d23_re) = dst_re.split_at_mut(2 * q);
+    let (d0_re, d1_re) = d01_re.split_at_mut(q);
+    let (d2_re, d3_re) = d23_re.split_at_mut(q);
+    let (d01_im, d23_im) = dst_im.split_at_mut(2 * q);
+    let (d0_im, d1_im) = d01_im.split_at_mut(q);
+    let (d2_im, d3_im) = d23_im.split_at_mut(q);
+    let (d3_re, d3_im) = (&mut d3_re[..q], &mut d3_im[..q]);
+    let (w1r, rest) = tw.split_at(q);
+    let (w1i, rest) = rest.split_at(q);
+    let (w2r, rest) = rest.split_at(q);
+    let (w2i, rest) = rest.split_at(q);
+    let (w3r, rest) = rest.split_at(q);
+    let w3i = &rest[..q];
+    for k in 0..q {
+        let [y0, y1, y2, y3] = butterfly4::<INV>(
+            [
+                (d0_re[k], d0_im[k]),
+                (d1_re[k], d1_im[k]),
+                (d2_re[k], d2_im[k]),
+                (d3_re[k], d3_im[k]),
+            ],
+            [(w1r[k], w1i[k]), (w2r[k], w2i[k]), (w3r[k], w3i[k])],
+        );
+        (d0_re[k], d0_im[k]) = y0;
+        (d1_re[k], d1_im[k]) = y1;
+        (d2_re[k], d2_im[k]) = y2;
+        (d3_re[k], d3_im[k]) = y3;
     }
+}
 
-    /// The radix-3 butterfly level: combines three length-`m` transforms
-    /// sitting contiguously in `dst` into one length-`3m` transform.
-    fn combine3(&self, dst_re: &mut [f64], dst_im: &mut [f64], m: usize, dir: Direction) {
-        let step = self.n / (3 * m);
-        let (d0_re, d12_re) = dst_re.split_at_mut(m);
-        let (d1_re, d2_re) = d12_re.split_at_mut(m);
-        let (d0_im, d12_im) = dst_im.split_at_mut(m);
-        let (d1_im, d2_im) = d12_im.split_at_mut(m);
-        let inverse = dir == Direction::Inverse;
-        let sin = if inverse { -SIN_2PI_3 } else { SIN_2PI_3 };
-        for k in 0..m {
-            let j = k * step;
-            let (w1r, mut w1i) = (self.tw_re[j], self.tw_im[j]);
-            let (w2r, mut w2i) = (self.tw_re[2 * j], self.tw_im[2 * j]);
-            if inverse {
-                w1i = -w1i;
-                w2i = -w2i;
-            }
-            let (ar, ai) = (d0_re[k], d0_im[k]);
-            let (br, bi) = (
-                d1_re[k] * w1r - d1_im[k] * w1i,
-                d1_re[k] * w1i + d1_im[k] * w1r,
-            );
-            let (cr, ci) = (
-                d2_re[k] * w2r - d2_im[k] * w2i,
-                d2_re[k] * w2i + d2_im[k] * w2r,
-            );
-            let (sr, si) = (br + cr, bi + ci);
-            let (mr, mi) = (ar - 0.5 * sr, ai - 0.5 * si);
-            let (pr, pi) = (sin * (br - cr), sin * (bi - ci));
-            // Forward: X[k+m] = mid − i·p, X[k+2m] = mid + i·p (the sign of
-            // `sin` swaps them for the inverse).
-            d0_re[k] = ar + sr;
-            d0_im[k] = ai + si;
-            d1_re[k] = mr + pi;
-            d1_im[k] = mi - pr;
-            d2_re[k] = mr - pi;
-            d2_im[k] = mi + pr;
-        }
+/// The radix-3 butterfly level: combines three length-`m` transforms
+/// sitting contiguously in `dst` into one length-`3m` transform.
+fn combine3<const INV: bool>(tw: &[f64], dst_re: &mut [f64], dst_im: &mut [f64], m: usize) {
+    let (d0_re, d12_re) = dst_re.split_at_mut(m);
+    let (d1_re, d2_re) = d12_re.split_at_mut(m);
+    let (d0_im, d12_im) = dst_im.split_at_mut(m);
+    let (d1_im, d2_im) = d12_im.split_at_mut(m);
+    let (d2_re, d2_im) = (&mut d2_re[..m], &mut d2_im[..m]);
+    let (w1r, rest) = tw.split_at(m);
+    let (w1i, rest) = rest.split_at(m);
+    let (w2r, rest) = rest.split_at(m);
+    let w2i = &rest[..m];
+    let sin = if INV { -SIN_2PI_3 } else { SIN_2PI_3 };
+    for k in 0..m {
+        let (ar, ai) = (d0_re[k], d0_im[k]);
+        let (br, bi) = twiddle::<INV>((d1_re[k], d1_im[k]), (w1r[k], w1i[k]));
+        let (cr, ci) = twiddle::<INV>((d2_re[k], d2_im[k]), (w2r[k], w2i[k]));
+        let (sr, si) = (br + cr, bi + ci);
+        let (mr, mi) = (ar - 0.5 * sr, ai - 0.5 * si);
+        let (pr, pi) = (sin * (br - cr), sin * (bi - ci));
+        // Forward: X[k+m] = mid − i·p, X[k+2m] = mid + i·p (the sign of
+        // `sin` swaps them for the inverse).
+        d0_re[k] = ar + sr;
+        d0_im[k] = ai + si;
+        d1_re[k] = mr + pi;
+        d1_im[k] = mi - pr;
+        d2_re[k] = mr - pi;
+        d2_im[k] = mi + pr;
     }
+}
 
-    /// The generic radix-`p` butterfly level for an odd prime `p`: combines
-    /// `p` length-`m` transforms sitting contiguously in `dst` into one
-    /// length-`p·m` transform.
-    ///
-    /// Terms `j` and `p − j` share a cosine and have opposite sines, so
-    /// each pair enters as a sum `a_j` (weighted by cosines) and a
-    /// difference `b_j` (by sines): `X[s] = t_0 + Σ a_j·cos θ_js ∓ i Σ
-    /// b_j·sin θ_js`. `odd` holds the `a`/`b` pairs, `2·(p − 1)` words.
-    fn combine_odd(
-        &self,
-        dst_re: &mut [f64],
-        dst_im: &mut [f64],
-        p: usize,
-        m: usize,
-        odd: &mut [f64],
-        dir: Direction,
-    ) {
-        let step = self.n / (p * m);
-        // W_p^e = w[e · (N/p)].
-        let root = self.n / p;
-        let h = p / 2;
-        let (a_re, rest) = odd.split_at_mut(h);
-        let (a_im, rest) = rest.split_at_mut(h);
-        let (b_re, rest) = rest.split_at_mut(h);
-        let b_im = &mut rest[..h];
-        let inverse = dir == Direction::Inverse;
-        let twiddled = |re: f64, im: f64, j: usize| {
-            let (wr, mut wi) = (self.tw_re[j], self.tw_im[j]);
-            if inverse {
-                wi = -wi;
-            }
-            (re * wr - im * wi, re * wi + im * wr)
-        };
-        for k in 0..m {
-            let (t0r, t0i) = (dst_re[k], dst_im[k]);
-            let (mut x0r, mut x0i) = (t0r, t0i);
-            for j in 1..=h {
-                let (lo, hi) = (j * m + k, (p - j) * m + k);
-                let (ur, ui) = twiddled(dst_re[lo], dst_im[lo], j * k * step);
-                let (vr, vi) = twiddled(dst_re[hi], dst_im[hi], (p - j) * k * step);
-                a_re[j - 1] = ur + vr;
-                a_im[j - 1] = ui + vi;
-                b_re[j - 1] = ur - vr;
-                b_im[j - 1] = ui - vi;
-                x0r += ur + vr;
-                x0i += ui + vi;
-            }
-            dst_re[k] = x0r;
-            dst_im[k] = x0i;
-            for s in 1..=h {
-                let (mut cr, mut ci) = (t0r, t0i);
-                let (mut sr, mut si) = (0.0, 0.0);
-                // e = j·s mod p, stepped without a division.
-                let mut e = 0;
-                for j in 0..h {
-                    e += s;
-                    if e >= p {
-                        e -= p;
-                    }
-                    let (cos, sin) = (self.tw_re[e * root], -self.tw_im[e * root]);
-                    cr += a_re[j] * cos;
-                    ci += a_im[j] * cos;
-                    sr += b_re[j] * sin;
-                    si += b_im[j] * sin;
+/// The generic radix-`p` butterfly level for an odd prime `p`: combines
+/// `p` length-`m` transforms sitting contiguously in `dst` into one
+/// length-`p·m` transform.
+///
+/// Terms `j` and `p − j` share a cosine and have opposite sines, so
+/// each pair enters as a sum `a_j` (weighted by cosines) and a
+/// difference `b_j` (by sines): `X[s] = t_0 + Σ a_j·cos θ_js ∓ i Σ
+/// b_j·sin θ_js`. `rot` holds the level's `W_p^e`; `odd` holds the
+/// `a`/`b` pairs, `2·(p − 1)` words.
+fn combine_odd<const INV: bool>(
+    tw: &[f64],
+    rot: &[f64],
+    dst_re: &mut [f64],
+    dst_im: &mut [f64],
+    p: usize,
+    m: usize,
+    odd: &mut [f64],
+) {
+    let h = p / 2;
+    let (a_re, rest) = odd.split_at_mut(h);
+    let (a_im, rest) = rest.split_at_mut(h);
+    let (b_re, rest) = rest.split_at_mut(h);
+    let b_im = &mut rest[..h];
+    // Row `j` of the table: W_n^{j·k} for k in 0..m.
+    let w = |j: usize, k: usize| (tw[2 * (j - 1) * m + k], tw[(2 * j - 1) * m + k]);
+    for k in 0..m {
+        let (t0r, t0i) = (dst_re[k], dst_im[k]);
+        let (mut x0r, mut x0i) = (t0r, t0i);
+        for j in 1..=h {
+            let (lo, hi) = (j * m + k, (p - j) * m + k);
+            let (ur, ui) = twiddle::<INV>((dst_re[lo], dst_im[lo]), w(j, k));
+            let (vr, vi) = twiddle::<INV>((dst_re[hi], dst_im[hi]), w(p - j, k));
+            a_re[j - 1] = ur + vr;
+            a_im[j - 1] = ui + vi;
+            b_re[j - 1] = ur - vr;
+            b_im[j - 1] = ui - vi;
+            x0r += ur + vr;
+            x0i += ui + vi;
+        }
+        dst_re[k] = x0r;
+        dst_im[k] = x0i;
+        for s in 1..=h {
+            let (mut cr, mut ci) = (t0r, t0i);
+            let (mut sr, mut si) = (0.0, 0.0);
+            // e = j·s mod p, stepped without a division.
+            let mut e = 0;
+            for j in 0..h {
+                e += s;
+                if e >= p {
+                    e -= p;
                 }
-                if inverse {
-                    sr = -sr;
-                    si = -si;
-                }
-                // Forward: X[s] = c − i·σ, X[p−s] = c + i·σ.
-                let (lo, hi) = (s * m + k, (p - s) * m + k);
-                dst_re[lo] = cr + si;
-                dst_im[lo] = ci - sr;
-                dst_re[hi] = cr - si;
-                dst_im[hi] = ci + sr;
+                let (cos, sin) = (rot[e], -rot[p + e]);
+                cr += a_re[j] * cos;
+                ci += a_im[j] * cos;
+                sr += b_re[j] * sin;
+                si += b_im[j] * sin;
             }
+            if INV {
+                sr = -sr;
+                si = -si;
+            }
+            // Forward: X[s] = c − i·σ, X[p−s] = c + i·σ.
+            let (lo, hi) = (s * m + k, (p - s) * m + k);
+            dst_re[lo] = cr + si;
+            dst_im[lo] = ci - sr;
+            dst_re[hi] = cr - si;
+            dst_im[hi] = ci + sr;
         }
     }
 }
@@ -619,7 +662,6 @@ struct Pass<'a> {
     src_im: &'a [f64],
     /// Working space of the generic odd-prime butterfly.
     odd: &'a mut [f64],
-    dir: Direction,
 }
 
 impl Pass<'_> {
@@ -637,6 +679,34 @@ impl Pass<'_> {
             dst_im[0] = ai + bi;
             dst_re[1] = ar - br;
             dst_im[1] = ai - bi;
+        }
+    }
+
+    /// A radix-4 level over four one-point leaves, fused: the butterfly
+    /// reads its inputs straight from the source. `tw` is the level's
+    /// `q = 1` table, `w¹, w², w³` at `k = 0`.
+    #[inline(always)]
+    fn bottom4<const INV: bool>(
+        &self,
+        tw: &[f64],
+        base: usize,
+        stride: usize,
+        dst_re: &mut [f64],
+        dst_im: &mut [f64],
+    ) {
+        let x = |j: usize| {
+            (
+                self.src_re[base + j * stride],
+                self.src_im[base + j * stride],
+            )
+        };
+        let y = butterfly4::<INV>(
+            [x(0), x(1), x(2), x(3)],
+            [(tw[0], tw[1]), (tw[2], tw[3]), (tw[4], tw[5])],
+        );
+        for (k, (re, im)) in y.into_iter().enumerate() {
+            dst_re[k] = re;
+            dst_im[k] = im;
         }
     }
 }
@@ -1062,6 +1132,47 @@ mod tests {
         let mut got = Vec::new();
         for log2 in 1..=13 {
             let n = 1usize << log2;
+            let fft = Fft::new(n);
+            let (mut fre, mut fim) = split_input(n);
+            fft.forward_split_in(&mut fre, &mut fim, &mut scratch);
+            let (mut ire, mut iim) = split_input(n);
+            fft.inverse_split_in(&mut ire, &mut iim, &mut scratch);
+            got.push((n, fnv_split(&fre, &fim), fnv_split(&ire, &iim)));
+        }
+        assert_eq!(got, PINS);
+    }
+
+    #[test]
+    fn split_non_pow2_outputs_are_pinned() {
+        // The exact bits of the radix-3, odd-prime and radix-2-leaf levels,
+        // recorded on the root-table engine before the per-level twiddle
+        // tables: DRM's 288, 176 and 112, then lengths reaching each odd
+        // radix alone, together, over a radix-4 level and over the radix-2
+        // leaf. (n, forward hash, inverse hash) on `split_input`.
+        const PINS: [(usize, u64, u64); 16] = [
+            (288, 0x48ed_819e_fd19_4752, 0xb81a_68ee_823b_b141),
+            (176, 0x11ef_b6d7_e3a2_1b81, 0xad81_eaaa_479f_1690),
+            (112, 0xbd69_05bc_af98_676f, 0x1f13_6b1a_a6eb_667a),
+            (3, 0xd852_71e4_b0cf_f62e, 0x3c1e_2a7a_366a_1f1f),
+            (5, 0x112f_975b_7521_ef01, 0xb9a8_5d16_e77f_3cd3),
+            (7, 0x36d3_3dad_9298_650d, 0xe4d1_b5e0_c6b9_ad02),
+            (11, 0x860c_1cdf_4eed_ad17, 0x5cf8_8431_51aa_8f0f),
+            (6, 0xdc1b_0856_f6f4_36e6, 0x7000_3b9e_588e_46c5),
+            (9, 0x927d_3505_61e2_d4d6, 0xd475_5a2f_fe8d_f1ff),
+            (15, 0x88d7_cad7_0ecd_b18c, 0x2e43_de32_0078_1771),
+            (45, 0x82df_8bb6_1c55_9e00, 0x5ec2_ecd5_d73c_7a45),
+            (96, 0x80fb_896e_e8ed_6914, 0xf8c9_82e3_52d0_d716),
+            (2310, 0x609f_a651_2389_3ad4, 0xc0b3_c03e_2808_1b7b),
+            (13, 0x0667_31e0_8cf9_ad69, 0x6acf_6e81_991f_ea15),
+            (1009, 0x16b8_691a_3cd4_865a, 0xd47b_c4c9_7f1e_a5b1),
+            (24, 0x8712_5db9_447f_1940, 0x4a4e_0229_06fd_8984),
+        ];
+        const SIZES: [usize; 16] = [
+            288, 176, 112, 3, 5, 7, 11, 6, 9, 15, 45, 96, 2310, 13, 1009, 24,
+        ];
+        let mut scratch = FftScratch::new();
+        let mut got = Vec::new();
+        for n in SIZES {
             let fft = Fft::new(n);
             let (mut fre, mut fim) = split_input(n);
             fft.forward_split_in(&mut fre, &mut fim, &mut scratch);

@@ -10,8 +10,16 @@
 //! transmitter (per-bit scrambler, `gf.mul` Reed–Solomon, per-bit
 //! convolutional encoder, `Modulation::map` mapper); the golden vectors'
 //! 1e-12 tolerance cannot show bit identity, these can.
+//!
+//! The four Hermitian (DMT) standards' waveform hashes were re-recorded
+//! when their symbols moved to half-length real synthesis, after
+//! `dmt_waveforms_match_the_mirrored_full_length_oracle` had checked
+//! them against the full-length path (which still reproduces the old
+//! hashes). Their cell and bit hashes did not change.
 
+use ofdm_core::framing::{render_element, PreambleElement};
 use ofdm_core::params::OfdmParams;
+use ofdm_core::symbol::{assemble, SymbolModulator};
 use ofdm_core::tx::StreamState;
 use ofdm_core::MotherModel;
 use ofdm_dsp::Complex64;
@@ -148,7 +156,7 @@ fn transmitter_output_is_pinned_bit_for_bit() {
         ),
         (
             "adsl",
-            0x125773bdc5906505,
+            0xb7763004860cb7e2,
             0x5a92c6c93d423694,
             0xbd286b1a27cbcf9b,
         ),
@@ -160,7 +168,7 @@ fn transmitter_output_is_pinned_bit_for_bit() {
         ),
         (
             "vdsl",
-            0x0973b00c0e7c352d,
+            0x64cad4d693de2638,
             0xa6c910532576e3bd,
             0x275b58606c69fc5a,
         ),
@@ -184,13 +192,13 @@ fn transmitter_output_is_pinned_bit_for_bit() {
         ),
         (
             "homeplug",
-            0xb3e4a7ee527b94d2,
+            0xbad4d6884c4510b6,
             0x102235ddc9d64ab8,
             0x99330a82b4a238d5,
         ),
         (
             "adsl2+",
-            0x3dc9a713742f0f13,
+            0xf479fa2e8084972d,
             0x6a990523d5a1e3f3,
             0x008607955087bfdc,
         ),
@@ -240,4 +248,78 @@ fn transmitter_output_is_pinned_bit_for_bit() {
             rendered.join("\n")
         );
     }
+}
+
+/// `cells` with every Hermitian carrier's conjugate mirror appended: the
+/// full-length grid of a real DMT symbol.
+fn mirrored(cells: &[(i32, Complex64)]) -> Vec<(i32, Complex64)> {
+    cells
+        .iter()
+        .flat_map(|&(k, v)| [(k, v), (-k, v.conj())])
+        .collect()
+}
+
+#[test]
+fn dmt_waveforms_match_the_mirrored_full_length_oracle() {
+    // The oracle is the full-length synthesis Hermitian maps used before
+    // the half-length path: a complex (non-Hermitian) modulator over the
+    // mirrored grid, one N-point inverse per symbol, overlap-added from
+    // the frame's logged cells and its preamble. Two frames per standard,
+    // so pilot and coder state carry over; the preamble (HomePlug's
+    // frequency-domain reference) is rendered through both paths.
+    let mut checked = Vec::new();
+    for (i, (label, params)) in cases().iter().enumerate() {
+        if !params.map.is_hermitian() {
+            continue;
+        }
+        let oracle =
+            SymbolModulator::new(params.map.fft_size(), params.guard, params.taper_len, false)
+                .expect("valid preset");
+        let mut tx = MotherModel::new(params.clone()).expect("valid preset");
+        let mut wave = Fnv::new();
+        for p in &payloads(params, 0x7B17_0000 + i as u64) {
+            let frame = tx.transmit(p).expect("valid payload");
+            let mut sections: Vec<_> = params
+                .preamble
+                .iter()
+                .map(|e| match e {
+                    PreambleElement::FreqDomain { cells } => oracle.modulate(&mirrored(cells)),
+                    other => render_element(other, &oracle),
+                })
+                .collect();
+            sections.extend(
+                frame
+                    .symbol_cells()
+                    .iter()
+                    .map(|cells| oracle.modulate(&mirrored(cells))),
+            );
+            let want = assemble(&sections);
+            wave.samples(&want);
+            let got = frame.samples();
+            assert_eq!(got.len(), want.len(), "{label}");
+            let peak = want.iter().map(|z| z.abs()).fold(0.0, f64::max);
+            let err = got
+                .iter()
+                .zip(&want)
+                .map(|(a, b)| (*a - *b).abs())
+                .fold(0.0, f64::max);
+            assert!(err <= 1e-12 * peak, "{label}: error {err:e} of peak {peak}");
+            assert!(
+                got.iter().all(|z| z.im.to_bits() == 0),
+                "{label}: the half-length body is real, its imaginary part +0.0"
+            );
+        }
+        checked.push((label.clone(), wave.0));
+    }
+    // The oracle is the old path bit for bit: it reproduces the waveform
+    // hashes pinned for these standards before the half-length synthesis.
+    assert_eq!(
+        checked,
+        [
+            ("adsl".to_owned(), 0x1257_73bd_c590_6505),
+            ("vdsl".to_owned(), 0x0973_b00c_0e7c_352d),
+            ("homeplug".to_owned(), 0xb3e4_a7ee_527b_94d2),
+            ("adsl2+".to_owned(), 0x3dc9_a713_742f_0f13),
+        ]
+    );
 }
