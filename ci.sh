@@ -212,4 +212,13 @@ if [ "$TREE_BEFORE" != "$TREE_AFTER" ]; then
     exit 1
 fi
 
+echo "==> non-test Rust line count (informational, not a gate)"
+# The net non-test Rust figure each change reports: tracked and new *.rs
+# files outside tests/ directories, counting each file's lines before its
+# first #[cfg(test)].
+mapfile -t RS_FILES < <(git ls-files --cached --others --exclude-standard -- '*.rs' \
+    | grep -v '\(^\|/\)tests/')
+awk 'FNR == 1 { in_test = 0 } /#\[cfg\(test\)\]/ { in_test = 1 } !in_test { n++ }
+    END { print "non-test Rust lines: " n }' "${RS_FILES[@]}"
+
 echo "==> ci.sh: all gates passed"

@@ -11,11 +11,11 @@
 //! with a large prime factor `p` costs `O(n·p)`; no shipped standard has
 //! a prime factor above 11.
 //!
-//! The split API ([`Fft::forward_split_in`]) calls the engine directly.
-//! The interleaved complex API ([`Fft::forward`], [`Fft::forward_in`])
-//! wraps it for non-power-of-two lengths; at powers of two it keeps an
-//! iterative complex radix-2 engine, whose exact bits the spectrum
-//! analyser, the receivers and their pinned outputs depend on.
+//! The split API ([`Fft::forward_split_in`]) calls the engine directly;
+//! every library transform runs through it. The interleaved complex API
+//! ([`Fft::forward`], [`Fft::forward_in`]) deinterleaves, runs the same
+//! engine and interleaves, so at every length it equals the split API bit
+//! for bit.
 //!
 //! Plans are immutable after construction and `Send + Sync`, so one plan can
 //! serve many worker threads.
@@ -42,17 +42,13 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// An FFT plan for a fixed transform length.
 ///
-/// Construction factors the length and precomputes the twiddle factors.
+/// Construction factors the length and precomputes the twiddle factors of
+/// the one mixed-radix engine that both APIs run.
 /// [`Fft::forward`] computes the unnormalized DFT; [`Fft::inverse`]
 /// includes the `1/N` factor so that `inverse(forward(x)) == x`.
 #[derive(Debug, Clone)]
 pub struct Fft {
     n: usize,
-    /// Complex-layout radix-2 engine, power-of-two lengths only: the
-    /// interleaved API keeps it there, bit-compatible with every
-    /// pre-existing caller. The split API, and the interleaved API at every
-    /// other length, run `mixed`.
-    radix2: Option<Radix2>,
     mixed: MixedRadix,
     /// [`Fft::real_twiddles`], built on first use.
     real_tw: OnceLock<Vec<f64>>,
@@ -68,7 +64,6 @@ impl Fft {
         assert!(n > 0, "FFT length must be nonzero");
         Fft {
             n,
-            radix2: n.is_power_of_two().then(|| Radix2::new(n)),
             mixed: MixedRadix::new(n),
             real_tw: OnceLock::new(),
         }
@@ -129,11 +124,11 @@ impl Fft {
 
     /// In-place forward DFT reusing caller-provided scratch.
     ///
-    /// Numerically identical to [`Fft::forward`]; the only difference is
-    /// that the split working buffers of a non-power-of-two length come
-    /// from `scratch` instead of a fresh allocation, so a long-lived scratch
-    /// makes repeated transforms allocation-free after warm-up. The radix-2
-    /// engine needs no scratch and ignores it.
+    /// Numerically identical to [`Fft::forward`] and to
+    /// [`Fft::forward_split_in`] on the deinterleaved buffer; the only
+    /// difference is that the split working buffers come from `scratch`
+    /// instead of a fresh allocation, so a long-lived scratch makes
+    /// repeated transforms allocation-free after warm-up.
     ///
     /// # Panics
     ///
@@ -158,12 +153,8 @@ impl Fft {
 
     fn complex_transform(&self, buf: &mut [Complex64], scratch: &mut FftScratch, dir: Direction) {
         assert_eq!(buf.len(), self.n, "buffer length must match plan length");
-        if let Some(radix2) = &self.radix2 {
-            radix2.transform(buf, dir);
-            return;
-        }
-        // Every other length: deinterleave, run the split engine,
-        // interleave — bit for bit what the split API computes.
+        // Deinterleave, run the split engine, interleave: bit for bit what
+        // the split API computes.
         let FftScratch {
             src_re,
             src_im,
@@ -188,10 +179,8 @@ impl Fft {
     ///
     /// Runs the mixed-radix decimation-in-time engine directly on the flat
     /// `f64` arrays, for every length — the structure-of-arrays hot path.
-    /// At power-of-two lengths it is numerically equivalent to the complex
-    /// radix-2 engine to last-ulp reassociation, not bit-identical; at
-    /// other lengths [`Fft::forward_in`] wraps this same engine and matches
-    /// it bit for bit.
+    /// [`Fft::forward_in`] wraps this same engine and matches it bit for
+    /// bit.
     ///
     /// # Panics
     ///
@@ -261,64 +250,6 @@ impl Fft {
 enum Direction {
     Forward,
     Inverse,
-}
-
-/// Iterative radix-2 DIT engine.
-#[derive(Debug, Clone)]
-struct Radix2 {
-    n: usize,
-    /// Bit-reversal permutation indices.
-    rev: Vec<u32>,
-    /// Forward twiddles, e^{-i 2π k / N} for k in 0..N/2.
-    twiddles: Vec<Complex64>,
-}
-
-impl Radix2 {
-    fn new(n: usize) -> Self {
-        debug_assert!(n.is_power_of_two());
-        let bits = n.trailing_zeros();
-        let rev = (0..n as u32)
-            .map(|i| i.reverse_bits() >> (32 - bits.max(1)))
-            .collect::<Vec<_>>();
-        let twiddles = (0..n / 2)
-            .map(|k| Complex64::cis(-2.0 * PI * k as f64 / n as f64))
-            .collect();
-        Radix2 { n, rev, twiddles }
-    }
-
-    fn transform(&self, buf: &mut [Complex64], dir: Direction) {
-        let n = self.n;
-        if n == 1 {
-            return;
-        }
-        // Bit-reversal permutation.
-        for i in 0..n {
-            let j = self.rev[i] as usize;
-            if i < j {
-                buf.swap(i, j);
-            }
-        }
-        // Butterflies.
-        let mut len = 2;
-        while len <= n {
-            let half = len / 2;
-            let stride = n / len;
-            for start in (0..n).step_by(len) {
-                for k in 0..half {
-                    let tw = self.twiddles[k * stride];
-                    let tw = match dir {
-                        Direction::Forward => tw,
-                        Direction::Inverse => tw.conj(),
-                    };
-                    let a = buf[start + k];
-                    let b = buf[start + k + half] * tw;
-                    buf[start + k] = a + b;
-                    buf[start + k + half] = a - b;
-                }
-            }
-            len <<= 1;
-        }
-    }
 }
 
 /// `sin(2π/3)`, the radix-3 butterfly's rotation.
@@ -722,7 +653,7 @@ pub struct FftScratch {
     src_re: Vec<f64>,
     src_im: Vec<f64>,
     /// Split output (`re` then `im`) of the complex API's wrapper around
-    /// the split engine, for non-power-of-two lengths.
+    /// the split engine.
     out: Vec<f64>,
     /// Pair sums and differences of the generic odd-prime butterfly.
     odd: Vec<f64>,
@@ -822,7 +753,7 @@ pub fn dft_naive(input: &[Complex64]) -> Vec<Complex64> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn max_err(a: &[Complex64], b: &[Complex64]) -> f64 {
@@ -881,7 +812,7 @@ mod tests {
     /// so its own rounding grows as `N²` (3.4e-9 at 8192 points on these
     /// unit inputs, where the FFTs sit near 1e-16 relative); the
     /// cross-check tolerance follows it with a 2x margin.
-    fn naive_tolerance(n: usize) -> f64 {
+    pub(crate) fn naive_tolerance(n: usize) -> f64 {
         2e-16 * (n * n) as f64 + 1e-12
     }
 
@@ -982,7 +913,7 @@ mod tests {
 
     #[test]
     fn scratch_path_is_bit_identical() {
-        // One scratch reused across both engines and both directions must
+        // One scratch reused across lengths and both directions must
         // reproduce the allocating path exactly (not just approximately).
         let mut scratch = FftScratch::new();
         for n in [8usize, 64, 36, 112, 176, 288, 2310] {
@@ -1042,12 +973,13 @@ mod tests {
     }
 
     #[test]
-    fn split_non_pow2_is_bit_identical_to_complex_path() {
-        // At non-power-of-two lengths (DRM's 288 among them) the complex
-        // API wraps the split engine: exactly the same arithmetic, bit for
-        // bit.
+    fn interleaved_api_is_bit_identical_to_split_at_every_length() {
+        // The complex API wraps the one split engine at every length, the
+        // powers of two (1 … 8192) included: exactly the same arithmetic,
+        // bit for bit.
         let mut scratch = FftScratch::new();
-        for n in [36usize, 112, 176, 288, 2310, 1009] {
+        let pow2 = (0..=13).map(|log2| 1usize << log2);
+        for n in pow2.chain(CHECK_SIZES) {
             let fft = Fft::new(n);
             let (mut re, mut im) = split_input(n);
             let mut complex = joined(&re, &im);
@@ -1057,22 +989,6 @@ mod tests {
             fft.inverse_in(&mut complex, &mut scratch);
             fft.inverse_split_in(&mut re, &mut im, &mut scratch);
             assert_eq!(joined(&re, &im), complex, "inverse n={n}");
-        }
-    }
-
-    #[test]
-    fn split_pow2_stays_within_golden_tolerance_of_radix2() {
-        // The radix-4 split engine reassociates relative to the radix-2
-        // complex engine; drift must stay far under the 1e-12 golden-vector
-        // tolerance for the paper standards' sizes (64, 512) and beyond.
-        let mut scratch = FftScratch::new();
-        for n in [64usize, 512, 2048] {
-            let fft = Fft::new(n);
-            let (mut re, mut im) = split_input(n);
-            let mut complex = joined(&re, &im);
-            fft.inverse_in(&mut complex, &mut scratch);
-            fft.inverse_split_in(&mut re, &mut im, &mut scratch);
-            assert!(max_err(&joined(&re, &im), &complex) < 1e-13, "n={n}");
         }
     }
 

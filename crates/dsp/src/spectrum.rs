@@ -3,9 +3,9 @@
 //! Backs the RF simulator's spectrum analyzer instrument and the
 //! spectral-mask checks in the co-simulation experiments.
 
-use crate::complex::Complex64;
-use crate::fft::Fft;
+use crate::fft::{self, Fft, FftScratch};
 use crate::window::Window;
+use std::sync::Arc;
 
 /// A Welch PSD estimator configuration.
 ///
@@ -13,11 +13,15 @@ use crate::window::Window;
 /// windows each segment, and averages the periodograms.
 #[derive(Debug, Clone)]
 pub struct WelchPsd {
-    segment_len: usize,
-    window: Window,
-    fft: Fft,
+    /// The process-wide cached plan for the segment length.
+    fft: Arc<Fft>,
     win_coeffs: Vec<f64>,
     win_power: f64,
+    /// One windowed segment, split, and its transform's scratch: reused
+    /// across segments and calls.
+    seg_re: Vec<f64>,
+    seg_im: Vec<f64>,
+    scratch: FftScratch,
 }
 
 impl WelchPsd {
@@ -31,48 +35,43 @@ impl WelchPsd {
         let win_coeffs = window.coefficients(segment_len);
         let win_power = win_coeffs.iter().map(|w| w * w).sum::<f64>() / segment_len as f64;
         WelchPsd {
-            segment_len,
-            window,
-            fft: Fft::new(segment_len),
+            fft: fft::plan(segment_len),
             win_coeffs,
             win_power,
+            seg_re: vec![0.0; segment_len],
+            seg_im: vec![0.0; segment_len],
+            scratch: FftScratch::new(),
         }
     }
 
-    /// Segment length in samples (also the number of PSD bins).
-    pub fn segment_len(&self) -> usize {
-        self.segment_len
-    }
-
-    /// The configured window.
-    pub fn window(&self) -> Window {
-        self.window
-    }
-
-    /// Estimates the PSD of `signal` in linear power per bin, bins ordered
-    /// from DC upward (bin k corresponds to normalized frequency k/N; the
-    /// upper half is the negative-frequency side).
+    /// Estimates the PSD of the signal held as split `re`/`im` slices in
+    /// linear power per bin, bins ordered from DC upward (bin k corresponds
+    /// to normalized frequency k/N; the upper half is the
+    /// negative-frequency side).
     ///
     /// Normalization: for a unit-power white input the bins sum to the
     /// signal power (window-compensated). Returns all-zero bins if the
     /// signal is shorter than one segment.
-    pub fn estimate(&self, signal: &[Complex64]) -> Vec<f64> {
-        let n = self.segment_len;
+    pub fn estimate(&mut self, re: &[f64], im: &[f64]) -> Vec<f64> {
+        let n = self.win_coeffs.len();
+        let len = re.len().min(im.len());
         let mut acc = vec![0.0f64; n];
-        if signal.len() < n {
+        if len < n {
             return acc;
         }
         let hop = (n / 2).max(1);
         let mut segments = 0usize;
-        let mut buf = vec![Complex64::ZERO; n];
         let mut start = 0usize;
-        while start + n <= signal.len() {
-            for i in 0..n {
-                buf[i] = signal[start + i].scale(self.win_coeffs[i]);
+        while start + n <= len {
+            for (seg, x) in [(&mut self.seg_re, re), (&mut self.seg_im, im)] {
+                for ((s, &v), w) in seg.iter_mut().zip(&x[start..]).zip(&self.win_coeffs) {
+                    *s = v * w;
+                }
             }
-            self.fft.forward(&mut buf);
-            for (a, z) in acc.iter_mut().zip(buf.iter()) {
-                *a += z.norm_sqr();
+            self.fft
+                .forward_split_in(&mut self.seg_re, &mut self.seg_im, &mut self.scratch);
+            for ((a, r), i) in acc.iter_mut().zip(&self.seg_re).zip(&self.seg_im) {
+                *a += r * r + i * i;
             }
             segments += 1;
             start += hop;
@@ -82,15 +81,6 @@ impl WelchPsd {
             *a *= norm;
         }
         acc
-    }
-
-    /// Estimates the PSD in dB (10·log10 of the linear estimate), clamped at
-    /// a -200 dB floor.
-    pub fn estimate_db(&self, signal: &[Complex64]) -> Vec<f64> {
-        self.estimate(signal)
-            .into_iter()
-            .map(|p| 10.0 * p.max(1e-20).log10())
-            .collect()
     }
 }
 
@@ -141,7 +131,17 @@ pub fn band_power(psd: &[f64], sample_rate: f64, f_lo: f64, f_hi: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::complex::Complex64;
+    use crate::fft::dft_naive;
+    use crate::fft::tests::naive_tolerance;
     use std::f64::consts::PI;
+
+    /// `x`'s Welch estimate through the split entry point.
+    fn estimate(psd: &mut WelchPsd, x: &[Complex64]) -> Vec<f64> {
+        let re: Vec<f64> = x.iter().map(|z| z.re).collect();
+        let im: Vec<f64> = x.iter().map(|z| z.im).collect();
+        psd.estimate(&re, &im)
+    }
 
     #[test]
     fn white_signal_total_power() {
@@ -153,7 +153,7 @@ mod tests {
                 Complex64::cis(2.0 * PI * a)
             })
             .collect();
-        let psd = WelchPsd::new(256, Window::Hann).estimate(&x);
+        let psd = estimate(&mut WelchPsd::new(256, Window::Hann), &x);
         let total: f64 = psd.iter().sum();
         assert!((total - 1.0).abs() < 0.15, "total {total}");
     }
@@ -167,7 +167,7 @@ mod tests {
         let x: Vec<Complex64> = (0..n)
             .map(|i| Complex64::cis(2.0 * PI * f * i as f64))
             .collect();
-        let psd = WelchPsd::new(seg, Window::Hann).estimate(&x);
+        let psd = estimate(&mut WelchPsd::new(seg, Window::Hann), &x);
         let peak_bin = psd
             .iter()
             .enumerate()
@@ -182,16 +182,58 @@ mod tests {
         assert!((total - 1.0).abs() < 0.05, "tone power {total}");
     }
 
-    #[test]
-    fn short_signal_gives_zeros() {
-        let psd = WelchPsd::new(128, Window::Hann).estimate(&[Complex64::ONE; 10]);
-        assert!(psd.iter().all(|&p| p == 0.0));
+    /// Welch's estimate by definition: 50 % overlapped, windowed segments
+    /// through `dft_naive`, periodograms averaged and normalized.
+    fn welch_naive(x: &[Complex64], seg: usize, window: Window) -> Vec<f64> {
+        let w = window.coefficients(seg);
+        let win_power = w.iter().map(|c| c * c).sum::<f64>() / seg as f64;
+        let starts: Vec<usize> = (0..=x.len() - seg).step_by(seg / 2).collect();
+        let mut acc = vec![0.0; seg];
+        for &s in &starts {
+            let windowed: Vec<Complex64> = (0..seg).map(|i| x[s + i].scale(w[i])).collect();
+            for (a, z) in acc.iter_mut().zip(dft_naive(&windowed)) {
+                *a += z.norm_sqr();
+            }
+        }
+        let norm = starts.len() as f64 * (seg * seg) as f64 * win_power;
+        acc.iter().map(|a| a / norm).collect()
     }
 
     #[test]
-    fn estimate_db_floor() {
-        let psd = WelchPsd::new(64, Window::Hann).estimate_db(&vec![Complex64::ZERO; 256]);
-        assert!(psd.iter().all(|&p| p <= -190.0));
+    fn estimate_matches_a_naive_dft_welch() {
+        // A tone plus a chirp (|x| ≤ 1), at power-of-two and
+        // DRM-like segment lengths. A spectrum error δ ≤ naive_tolerance(n)
+        // moves |X|² by at most 2|X|δ + δ², under 3δ of the peak bin
+        // whenever the peak |X| ≥ 1.
+        for (seg, window) in [
+            (64, Window::Hann),
+            (256, Window::Blackman),
+            (288, Window::Hann),
+        ] {
+            let x: Vec<Complex64> = (0..5 * seg)
+                .map(|i| {
+                    let t = i as f64;
+                    Complex64::cis(2.0 * PI * (0.13 * t + 1e-4 * t * t)).scale(0.5)
+                        + Complex64::cis(-2.0 * PI * 0.31 * t).scale(0.5)
+                })
+                .collect();
+            let want = welch_naive(&x, seg, window);
+            let mut psd = WelchPsd::new(seg, window);
+            let got = estimate(&mut psd, &x);
+            // The held segment buffers carry nothing between calls.
+            assert_eq!(estimate(&mut psd, &x), got, "seg {seg}: second call");
+            let peak = want.iter().copied().fold(0.0, f64::max);
+            let tol = 3.0 * naive_tolerance(seg) * peak;
+            for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert!((g - w).abs() <= tol, "seg {seg} bin {k}: {g} vs {w}");
+            }
+        }
+    }
+
+    #[test]
+    fn short_signal_gives_zeros() {
+        let psd = WelchPsd::new(128, Window::Hann).estimate(&[1.0; 10], &[0.0; 10]);
+        assert!(psd.iter().all(|&p| p == 0.0));
     }
 
     #[test]
@@ -217,7 +259,7 @@ mod tests {
         let x: Vec<Complex64> = (0..n)
             .map(|i| Complex64::cis(2.0 * PI * 0.1 * i as f64))
             .collect();
-        let psd = WelchPsd::new(256, Window::Hann).estimate(&x);
+        let psd = estimate(&mut WelchPsd::new(256, Window::Hann), &x);
         let fs = 1.0;
         let total = band_power(&psd, fs, -0.5, 0.5);
         let lower = band_power(&psd, fs, -0.5, 0.05);

@@ -368,7 +368,8 @@ mod tests {
         let mut lo = LocalOscillator::new(0.125, 0.0, 0);
         let s = Signal::new(vec![Complex64::ONE; 1024], 1.0);
         let out = lo.process(&[s]).unwrap();
-        let psd = WelchPsd::new(256, Window::Hann).estimate(&out.samples());
+        let (re, im) = out.parts();
+        let psd = WelchPsd::new(256, Window::Hann).estimate(re, im);
         let peak = psd
             .iter()
             .enumerate()
@@ -465,7 +466,8 @@ mod tests {
         let n = 8192;
         let s = tone(0.125, 1.0, n);
         let out = iq.process(&[s]).unwrap();
-        let psd = WelchPsd::new(256, Window::Blackman).estimate(&out.samples());
+        let (re, im) = out.parts();
+        let psd = WelchPsd::new(256, Window::Blackman).estimate(re, im);
         let sig = psd[32]; // +0.125 fs
         let img = psd[256 - 32]; // −0.125 fs
         let measured_irr = 10.0 * (sig / img).log10();

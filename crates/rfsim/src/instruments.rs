@@ -92,7 +92,9 @@ impl Block for PowerMeter {
 pub struct SpectrumAnalyzer {
     psd: WelchPsd,
     last: Option<(Vec<f64>, f64)>, // (DC-first PSD, sample rate)
-    stream_buf: Vec<Complex64>,
+    /// The pass so far, split re/im.
+    stream_re: Vec<f64>,
+    stream_im: Vec<f64>,
     stream_rate: f64, // 0.0 = no streaming pass in flight
 }
 
@@ -103,7 +105,8 @@ impl SpectrumAnalyzer {
         SpectrumAnalyzer {
             psd: WelchPsd::new(segment_len, Window::Blackman),
             last: None,
-            stream_buf: Vec::new(),
+            stream_re: Vec::new(),
+            stream_im: Vec::new(),
             stream_rate: 0.0,
         }
     }
@@ -111,13 +114,16 @@ impl SpectrumAnalyzer {
     /// Arms the streaming accumulator (also used by the instruments that
     /// wrap an analyzer: ACPR meter, mask checker).
     fn stream_begin(&mut self) {
-        self.stream_buf.clear();
+        self.stream_re.clear();
+        self.stream_im.clear();
         self.stream_rate = 0.0;
     }
 
     /// Buffers one chunk of the streaming pass.
     fn stream_accumulate(&mut self, chunk: &Signal) {
-        self.stream_buf.extend(chunk.iter());
+        let (re, im) = chunk.parts();
+        self.stream_re.extend_from_slice(re);
+        self.stream_im.extend_from_slice(im);
         self.stream_rate = chunk.sample_rate();
     }
 
@@ -127,9 +133,9 @@ impl SpectrumAnalyzer {
         if self.stream_rate <= 0.0 {
             return false;
         }
-        self.last = Some((self.psd.estimate(&self.stream_buf), self.stream_rate));
-        self.stream_buf.clear();
-        self.stream_rate = 0.0;
+        let psd = self.psd.estimate(&self.stream_re, &self.stream_im);
+        self.last = Some((psd, self.stream_rate));
+        self.stream_begin();
         true
     }
 
@@ -205,8 +211,7 @@ impl Block for SpectrumAnalyzer {
 
     fn reset(&mut self) {
         self.last = None;
-        self.stream_buf.clear();
-        self.stream_rate = 0.0;
+        self.stream_begin();
     }
 }
 

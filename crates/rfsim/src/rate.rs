@@ -180,7 +180,8 @@ mod tests {
         let f = 100e3;
         let mut up = Upsampler::new(4);
         let out = up.process(&[tone(f, 1e6, 4096)]).unwrap();
-        let psd = WelchPsd::new(512, Window::Hann).estimate(&out.samples());
+        let (re, im) = out.parts();
+        let psd = WelchPsd::new(512, Window::Hann).estimate(re, im);
         let peak = psd
             .iter()
             .enumerate()

@@ -49,12 +49,23 @@ struct PhaseCarriers {
     occupied: Vec<i32>,
 }
 
-/// One symbol's FFT window and the scratch its transform reuses: held
-/// across symbols, it makes demodulation allocation-free after the first.
+/// One symbol's FFT window, split re/im, and the scratch its transform
+/// reuses: held across symbols, it makes demodulation allocation-free
+/// after the first.
 #[derive(Debug, Default)]
 pub(crate) struct Spectrum {
-    bins: Vec<Complex64>,
+    re: Vec<f64>,
+    im: Vec<f64>,
     scratch: FftScratch,
+}
+
+impl Spectrum {
+    /// Forward-transforms `(re, im)` in place with `fft`'s split engine and
+    /// returns the bins (unnormalized).
+    fn transform(&mut self, fft: &Fft) -> (&[f64], &[f64]) {
+        fft.forward_split_in(&mut self.re, &mut self.im, &mut self.scratch);
+        (&self.re, &self.im)
+    }
 }
 
 impl OfdmDemodulator {
@@ -116,34 +127,26 @@ impl OfdmDemodulator {
     }
 
     /// Forward-transforms the CP-stripped window of the symbol at `offset`
-    /// into `spectrum` and returns its bins (unnormalized), or `None` if
-    /// the slices are too short.
+    /// into `spectrum` and returns its bins (unnormalized) as split
+    /// `(re, im)`, or `None` if the slices are too short.
     ///
-    /// The window is gathered from the split re/im slices into the
-    /// interleaved buffer of the complex [`Fft::forward_in`]: at powers of
-    /// two that runs the complex radix-2 engine, whose exact bits the
-    /// receiver's pinned outputs (`waterfall.json`, the waterfall golden,
-    /// the lab documents) depend on. The split engine agrees with it only
-    /// to last-ulp reassociation.
+    /// The window is copied from the split re/im slices straight into the
+    /// split engine's buffers ([`Fft::forward_split_in`]), the same engine
+    /// the interleaved API wraps.
     pub(crate) fn spectrum<'a>(
         &self,
         re: &[f64],
         im: &[f64],
         offset: usize,
         spectrum: &'a mut Spectrum,
-    ) -> Option<&'a [Complex64]> {
+    ) -> Option<(&'a [f64], &'a [f64])> {
         let start = self.window_start(re.len().min(im.len()), offset)?;
         let end = start + self.fft_size;
-        spectrum.bins.clear();
-        spectrum.bins.extend(
-            re[start..end]
-                .iter()
-                .zip(&im[start..end])
-                .map(|(&r, &i)| Complex64::new(r, i)),
-        );
-        self.fft
-            .forward_in(&mut spectrum.bins, &mut spectrum.scratch);
-        Some(&spectrum.bins)
+        spectrum.re.clear();
+        spectrum.re.extend_from_slice(&re[start..end]);
+        spectrum.im.clear();
+        spectrum.im.extend_from_slice(&im[start..end]);
+        Some(spectrum.transform(&self.fft))
     }
 
     /// The transmitter-normalization inverse for a symbol carrying
@@ -165,19 +168,24 @@ impl OfdmDemodulator {
         &self.phases[symbol_index % self.phases.len()]
     }
 
-    /// Extracts `(carrier, value)` cells from a forward-FFT'd symbol,
-    /// undoing the transmitter normalization.
-    fn extract_cells(&self, freq: &[Complex64], carriers: &[i32]) -> Vec<(i32, Complex64)> {
+    /// Extracts `(carrier, value)` cells from a forward-FFT'd symbol's
+    /// split bins, undoing the transmitter normalization.
+    fn extract_cells(&self, (re, im): (&[f64], &[f64]), carriers: &[i32]) -> Vec<(i32, Complex64)> {
         let scale = self.cell_scale(carriers.len());
         carriers
             .iter()
-            .map(|&k| (k, freq[self.bin(k)].scale(scale)))
+            .map(|&k| {
+                let bin = self.bin(k);
+                (k, Complex64::new(re[bin], im[bin]).scale(scale))
+            })
             .collect()
     }
 
     /// Demodulates symbol `symbol_index` (indexing data symbols from 0)
     /// whose samples start at `samples[offset]`; returns all occupied
     /// cells `(carrier, value)` in carrier order, pilots included.
+    /// The window is deinterleaved into the split path, so this is bit for
+    /// bit [`OfdmDemodulator::demodulate_at_parts`] on the same samples.
     ///
     /// Returns `None` if the slice is too short.
     pub fn demodulate_at(
@@ -187,12 +195,14 @@ impl OfdmDemodulator {
         symbol_index: usize,
     ) -> Option<Vec<(i32, Complex64)>> {
         let start = self.window_start(samples.len(), offset)?;
+        let window = &samples[start..start + self.fft_size];
         let mut work = self.work();
-        let Spectrum { bins, scratch } = &mut *work;
-        bins.clear();
-        bins.extend_from_slice(&samples[start..start + self.fft_size]);
-        self.fft.forward_in(bins, scratch);
-        Some(self.extract_cells(bins, &self.phase(symbol_index).occupied))
+        work.re.clear();
+        work.re.extend(window.iter().map(|z| z.re));
+        work.im.clear();
+        work.im.extend(window.iter().map(|z| z.im));
+        let freq = work.transform(&self.fft);
+        Some(self.extract_cells(freq, &self.phase(symbol_index).occupied))
     }
 
     /// Split-slice variant of [`OfdmDemodulator::demodulate_at`]: reads the

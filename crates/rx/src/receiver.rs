@@ -404,14 +404,16 @@ impl ReferenceReceiver {
                     PreambleElement::Null { len } => element_offset += len,
                     PreambleElement::TimeDomain(s) => element_offset += s.len(),
                     PreambleElement::FreqDomain { cells } => {
-                        let freq = self
+                        let (fre, fim) = self
                             .demod
                             .spectrum(re, im, element_offset, &mut self.spectrum)
                             .ok_or_else(|| too_short(element_offset))?;
                         let scale = self.demod.cell_scale(cells.len());
                         for &(k, _) in cells {
                             if let Ok(slot) = self.slot_carriers.binary_search(&k) {
-                                self.diff_ref[slot] = freq[self.demod.bin(k)].scale(scale);
+                                let bin = self.demod.bin(k);
+                                self.diff_ref[slot] =
+                                    Complex64::new(fre[bin], fim[bin]).scale(scale);
                             }
                         }
                         element_offset += sym_len;
@@ -429,14 +431,14 @@ impl ReferenceReceiver {
         let mut offset = self.preamble_samples;
         let mut symbol_index = 0usize;
         while demapped < padded_len {
-            let freq = self
+            let (fre, fim) = self
                 .demod
                 .spectrum(re, im, offset, &mut self.spectrum)
                 .ok_or_else(|| too_short(offset))?;
             let plan = &self.plans[symbol_index % self.plans.len()];
             let equalizer = self.equalizer.as_deref();
             let cell = |bin: usize, slot: usize| {
-                let y = freq[bin].scale(plan.scale);
+                let y = Complex64::new(fre[bin], fim[bin]).scale(plan.scale);
                 match equalizer.and_then(|taps| taps[slot]) {
                     Some(inv) => y * inv,
                     None => y,

@@ -12,81 +12,11 @@ use std::f64::consts::TAU;
 /// containing a training symbol with two identical halves of length
 /// `half_len` (the 802.11a LTF halves, or any repeated preamble).
 ///
-/// Returns the metric for every candidate offset `d` (length
-/// `signal.len() − 2·half_len`, empty if the signal is shorter).
-pub fn schmidl_cox_metric(signal: &[Complex64], half_len: usize) -> Vec<f64> {
-    if signal.len() < 2 * half_len || half_len == 0 {
-        return Vec::new();
-    }
-    let n = signal.len() - 2 * half_len;
-    let mut out = Vec::with_capacity(n);
-    // Sliding correlation, updated incrementally for O(N) total cost.
-    let mut p = Complex64::ZERO;
-    let mut r = 0.0f64;
-    for m in 0..half_len {
-        p += signal[m].conj() * signal[m + half_len];
-        r += signal[m + half_len].norm_sqr();
-    }
-    for d in 0..n {
-        out.push(if r > 1e-30 {
-            p.norm_sqr() / (r * r)
-        } else {
-            0.0
-        });
-        // Slide the window by one.
-        p -= signal[d].conj() * signal[d + half_len];
-        p += signal[d + half_len].conj() * signal[d + 2 * half_len];
-        r -= signal[d + half_len].norm_sqr();
-        r += signal[d + 2 * half_len].norm_sqr();
-    }
-    out
-}
-
-/// Finds the offset maximizing the Schmidl–Cox metric; `None` for signals
-/// shorter than one training symbol.
-pub fn find_frame_start(signal: &[Complex64], half_len: usize) -> Option<usize> {
-    let metric = schmidl_cox_metric(signal, half_len);
-    metric
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).expect("metric is finite"))
-        .map(|(d, _)| d)
-}
-
-/// Estimates a fractional carrier-frequency offset from a repeated
-/// training region: two identical halves of `half_len` samples starting at
-/// `offset`. Returns the CFO in Hz given the sample rate.
-///
-/// The unambiguous range is `±sample_rate / (2·half_len)`.
-pub fn estimate_cfo(
-    signal: &[Complex64],
-    offset: usize,
-    half_len: usize,
-    sample_rate: f64,
-) -> Option<f64> {
-    if offset + 2 * half_len > signal.len() || half_len == 0 {
-        return None;
-    }
-    let mut p = Complex64::ZERO;
-    for m in 0..half_len {
-        p += signal[offset + m].conj() * signal[offset + m + half_len];
-    }
-    Some(p.arg() / (TAU * half_len as f64) * sample_rate)
-}
-
-/// Applies a frequency shift of `-cfo_hz` (i.e. corrects a measured CFO).
-pub fn correct_cfo(signal: &[Complex64], cfo_hz: f64, sample_rate: f64) -> Vec<Complex64> {
-    signal
-        .iter()
-        .enumerate()
-        .map(|(n, &z)| z * Complex64::cis(-TAU * cfo_hz * n as f64 / sample_rate))
-        .collect()
-}
-
-/// Split-slice variant of [`schmidl_cox_metric`]: reads the signal from
-/// separate re/im slices (the `rfsim::Signal` structure-of-arrays layout)
-/// so receivers on the hot path never materialize a `Vec<Complex64>` view
-/// of the whole waveform. Bit-identical to the interleaved entry point.
+/// Reads the signal from separate re/im slices (the `rfsim::Signal`
+/// structure-of-arrays layout), so receivers never materialize a
+/// `Vec<Complex64>` view of the whole waveform. Returns the metric for
+/// every candidate offset `d` (length `len − 2·half_len`, empty if the
+/// signal is shorter).
 pub fn schmidl_cox_metric_parts(re: &[f64], im: &[f64], half_len: usize) -> Vec<f64> {
     let len = re.len().min(im.len());
     let at = |i: usize| Complex64::new(re[i], im[i]);
@@ -95,6 +25,7 @@ pub fn schmidl_cox_metric_parts(re: &[f64], im: &[f64], half_len: usize) -> Vec<
     }
     let n = len - 2 * half_len;
     let mut out = Vec::with_capacity(n);
+    // Sliding correlation, updated incrementally for O(N) total cost.
     let mut p = Complex64::ZERO;
     let mut r = 0.0f64;
     for m in 0..half_len {
@@ -107,6 +38,7 @@ pub fn schmidl_cox_metric_parts(re: &[f64], im: &[f64], half_len: usize) -> Vec<
         } else {
             0.0
         });
+        // Slide the window by one.
         p -= at(d).conj() * at(d + half_len);
         p += at(d + half_len).conj() * at(d + 2 * half_len);
         r -= at(d + half_len).norm_sqr();
@@ -115,8 +47,8 @@ pub fn schmidl_cox_metric_parts(re: &[f64], im: &[f64], half_len: usize) -> Vec<
     out
 }
 
-/// Split-slice variant of [`find_frame_start`]; bit-identical to the
-/// interleaved entry point.
+/// Finds the offset maximizing the Schmidl–Cox metric; `None` for signals
+/// shorter than one training symbol.
 pub fn find_frame_start_parts(re: &[f64], im: &[f64], half_len: usize) -> Option<usize> {
     let metric = schmidl_cox_metric_parts(re, im, half_len);
     metric
@@ -126,8 +58,11 @@ pub fn find_frame_start_parts(re: &[f64], im: &[f64], half_len: usize) -> Option
         .map(|(d, _)| d)
 }
 
-/// Split-slice variant of [`estimate_cfo`]; bit-identical to the
-/// interleaved entry point.
+/// Estimates a fractional carrier-frequency offset from a repeated
+/// training region: two identical halves of `half_len` samples starting at
+/// `offset`. Returns the CFO in Hz given the sample rate.
+///
+/// The unambiguous range is `±sample_rate / (2·half_len)`.
 pub fn estimate_cfo_parts(
     re: &[f64],
     im: &[f64],
@@ -147,9 +82,8 @@ pub fn estimate_cfo_parts(
     Some(p.arg() / (TAU * half_len as f64) * sample_rate)
 }
 
-/// Split-slice variant of [`correct_cfo`]: corrects a measured CFO,
-/// producing split re/im vectors. Element-wise bit-identical to the
-/// interleaved entry point.
+/// Applies a frequency shift of `-cfo_hz` (i.e. corrects a measured CFO),
+/// producing split re/im vectors.
 pub fn correct_cfo_parts(
     re: &[f64],
     im: &[f64],
@@ -173,8 +107,9 @@ mod tests {
     use super::*;
     use ofdm_dsp::Complex64;
 
-    /// A noise-ish aperiodic run followed by a symbol with repeated halves.
-    fn test_signal(start: usize, half: usize) -> Vec<Complex64> {
+    /// A noise-ish aperiodic run followed by a symbol with repeated
+    /// halves, as split re/im.
+    fn test_signal(start: usize, half: usize) -> (Vec<f64>, Vec<f64>) {
         let mut v: Vec<Complex64> = (0..start)
             .map(|i| Complex64::cis((i * i) as f64 * 0.13 + i as f64 * 1.7))
             .collect();
@@ -185,95 +120,61 @@ mod tests {
         v.extend_from_slice(&half_seq);
         // Aperiodic tail.
         v.extend((0..40).map(|i| Complex64::cis(i as f64 * 2.1 + (i * i) as f64 * 0.21)));
-        v
+        split(&v)
+    }
+
+    fn split(v: &[Complex64]) -> (Vec<f64>, Vec<f64>) {
+        (
+            v.iter().map(|z| z.re).collect(),
+            v.iter().map(|z| z.im).collect(),
+        )
     }
 
     #[test]
     fn metric_peaks_at_training_symbol() {
-        let sig = test_signal(100, 32);
-        let found = find_frame_start(&sig, 32).unwrap();
+        let (re, im) = test_signal(100, 32);
+        let found = find_frame_start_parts(&re, &im, 32).unwrap();
         assert!(
             (found as i64 - 100).unsigned_abs() <= 2,
             "found {found}, expected ≈100"
         );
-        let metric = schmidl_cox_metric(&sig, 32);
+        let metric = schmidl_cox_metric_parts(&re, &im, 32);
         assert!(metric[found] > 0.9, "peak metric {}", metric[found]);
     }
 
     #[test]
     fn metric_empty_for_short_signal() {
-        assert!(schmidl_cox_metric(&[Complex64::ONE; 10], 8).is_empty());
-        assert!(find_frame_start(&[Complex64::ONE; 10], 8).is_none());
-        assert!(schmidl_cox_metric(&[], 0).is_empty());
+        assert!(schmidl_cox_metric_parts(&[1.0; 10], &[0.0; 10], 8).is_empty());
+        assert!(find_frame_start_parts(&[1.0; 10], &[0.0; 10], 8).is_none());
+        assert!(schmidl_cox_metric_parts(&[], &[], 0).is_empty());
     }
 
     #[test]
     fn cfo_estimated_and_corrected() {
         let fs = 20e6;
         let cfo = 50e3; // within ±fs/(2·64) = ±156 kHz
-        let clean = test_signal(0, 64);
-        let shifted: Vec<Complex64> = clean
-            .iter()
-            .enumerate()
-            .map(|(n, &z)| z * Complex64::cis(TAU * cfo * n as f64 / fs))
-            .collect();
-        let est = estimate_cfo(&shifted, 0, 64, fs).unwrap();
+        let (re, im) = test_signal(0, 64);
+        // Applying a +cfo shift is correcting a −cfo one.
+        let (sre, sim) = correct_cfo_parts(&re, &im, -cfo, fs);
+        let est = estimate_cfo_parts(&sre, &sim, 0, 64, fs).unwrap();
         assert!((est - cfo).abs() < 100.0, "estimate {est}");
-        let fixed = correct_cfo(&shifted, est, fs);
+        let (fre, fim) = correct_cfo_parts(&sre, &sim, est, fs);
         // After correction the two halves match again.
         for m in 0..64 {
-            assert!((fixed[m] - fixed[m + 64]).abs() < 1e-6);
+            let d = Complex64::new(fre[m] - fre[m + 64], fim[m] - fim[m + 64]);
+            assert!(d.abs() < 1e-6);
         }
     }
 
     #[test]
     fn cfo_zero_for_clean_signal() {
-        let sig = test_signal(0, 48);
-        let est = estimate_cfo(&sig, 0, 48, 1e6).unwrap();
+        let (re, im) = test_signal(0, 48);
+        let est = estimate_cfo_parts(&re, &im, 0, 48, 1e6).unwrap();
         assert!(est.abs() < 1.0, "estimate {est}");
     }
 
     #[test]
     fn cfo_out_of_bounds_none() {
-        assert!(estimate_cfo(&[Complex64::ONE; 10], 0, 8, 1.0).is_none());
-        assert!(estimate_cfo(&[Complex64::ONE; 10], 0, 0, 1.0).is_none());
-    }
-
-    #[test]
-    fn parts_variants_bit_identical_to_interleaved() {
-        let fs = 20e6;
-        for (start, half, cfo) in [(100, 32, 0.0), (0, 64, 50e3), (37, 16, -12e3)] {
-            let clean = test_signal(start, half);
-            let shifted: Vec<Complex64> = clean
-                .iter()
-                .enumerate()
-                .map(|(n, &z)| z * Complex64::cis(TAU * cfo * n as f64 / fs))
-                .collect();
-            let re: Vec<f64> = shifted.iter().map(|z| z.re).collect();
-            let im: Vec<f64> = shifted.iter().map(|z| z.im).collect();
-
-            assert_eq!(
-                schmidl_cox_metric(&shifted, half),
-                schmidl_cox_metric_parts(&re, &im, half),
-                "metric ({start},{half},{cfo})"
-            );
-            assert_eq!(
-                find_frame_start(&shifted, half),
-                find_frame_start_parts(&re, &im, half)
-            );
-            let a = estimate_cfo(&shifted, start, half, fs);
-            let b = estimate_cfo_parts(&re, &im, start, half, fs);
-            assert_eq!(a, b, "cfo estimate must be bit-identical");
-            let est = a.unwrap();
-            let fixed = correct_cfo(&shifted, est, fs);
-            let (fre, fim) = correct_cfo_parts(&re, &im, est, fs);
-            for (n, z) in fixed.iter().enumerate() {
-                assert!(z.re == fre[n] && z.im == fim[n], "sample {n} differs");
-            }
-        }
-        // Degenerate inputs agree too.
-        assert!(schmidl_cox_metric_parts(&[1.0; 10], &[0.0; 10], 8).is_empty());
-        assert!(find_frame_start_parts(&[1.0; 10], &[0.0; 10], 8).is_none());
         assert!(estimate_cfo_parts(&[1.0; 10], &[0.0; 10], 0, 8, 1.0).is_none());
         assert!(estimate_cfo_parts(&[1.0; 10], &[0.0; 10], 0, 0, 1.0).is_none());
     }
@@ -281,11 +182,11 @@ mod tests {
     #[test]
     fn works_on_80211a_ltf() {
         // Real 802.11a long training field: halves of 64 samples repeat.
-        let ltf = ofdm_standards::ieee80211a::long_training_field();
+        let (re, im) = split(&ofdm_standards::ieee80211a::long_training_field());
         // Skip the 32-sample CP: offset 32, halves 64.
-        let est = estimate_cfo(&ltf, 32, 64, 20e6).unwrap();
+        let est = estimate_cfo_parts(&re, &im, 32, 64, 20e6).unwrap();
         assert!(est.abs() < 1.0);
-        let start = find_frame_start(&ltf, 64).unwrap();
+        let start = find_frame_start_parts(&re, &im, 64).unwrap();
         // Any offset within the CP keeps the two halves identical; the
         // metric plateaus there.
         assert!(start <= 32, "start {start}");

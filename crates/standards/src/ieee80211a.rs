@@ -16,7 +16,7 @@ use ofdm_core::params::OfdmParams;
 use ofdm_core::pilots::ieee80211a_pilots;
 use ofdm_core::scramble::ScramblerSpec;
 use ofdm_core::symbol::GuardInterval;
-use ofdm_dsp::fft::Fft;
+use ofdm_dsp::fft::{self, FftScratch};
 use ofdm_dsp::Complex64;
 
 /// Baseband sample rate (Hz): one 20 MHz channel.
@@ -150,20 +150,22 @@ pub fn stf_sequence() -> Vec<(i32, Complex64)> {
         .collect()
 }
 
+/// One 64-sample training symbol: `cells` on a split grid through the
+/// cached plan's inverse, scaled as the Mother Model scales its symbols.
 fn render_training_body(cells: &[(i32, Complex64)]) -> Vec<Complex64> {
-    let fft = Fft::new(FFT_SIZE);
-    let mut grid = vec![Complex64::ZERO; FFT_SIZE];
+    let mut re = [0.0; FFT_SIZE];
+    let mut im = [0.0; FFT_SIZE];
     for &(k, v) in cells {
-        let bin = if k >= 0 {
-            k as usize
-        } else {
-            (FFT_SIZE as i32 + k) as usize
-        };
-        grid[bin] = v;
+        let bin = k.rem_euclid(FFT_SIZE as i32) as usize;
+        re[bin] = v.re;
+        im[bin] = v.im;
     }
-    fft.inverse(&mut grid);
+    fft::plan(FFT_SIZE).inverse_split_in(&mut re, &mut im, &mut FftScratch::new());
     let scale = FFT_SIZE as f64 / (cells.len() as f64).sqrt();
-    grid.into_iter().map(|z| z.scale(scale)).collect()
+    re.iter()
+        .zip(&im)
+        .map(|(&r, &i)| Complex64::new(r, i).scale(scale))
+        .collect()
 }
 
 /// The 160-sample short training field (ten repetitions of the 16-sample
@@ -257,6 +259,37 @@ mod tests {
         // The CP is a copy of the symbol tail.
         for i in 0..32 {
             assert!((ltf[i] - ltf[64 + i]).abs() < 1e-9);
+        }
+    }
+
+    /// The training body by definition: `x[n] = (64/√cells)·(1/64)
+    /// Σ_k X[k] e^{+i2πkn/64}`, the inverse DFT taken as
+    /// `conj(dft_naive(conj(X)))/64`.
+    fn naive_body(cells: &[(i32, Complex64)]) -> Vec<Complex64> {
+        let mut grid = vec![Complex64::ZERO; FFT_SIZE];
+        for &(k, v) in cells {
+            grid[k.rem_euclid(FFT_SIZE as i32) as usize] = v.conj();
+        }
+        let scale = 1.0 / (cells.len() as f64).sqrt();
+        ofdm_dsp::fft::dft_naive(&grid)
+            .into_iter()
+            .map(|z| z.conj().scale(scale))
+            .collect()
+    }
+
+    #[test]
+    fn training_bodies_match_a_naive_inverse_dft() {
+        let stf = short_training_field();
+        let ltf = long_training_field();
+        for (label, got, cells) in [
+            ("stf", &stf[..64], stf_sequence()),
+            ("ltf", &ltf[32..96], ltf_sequence()),
+        ] {
+            let want = naive_body(&cells);
+            let peak = want.iter().map(|z| z.abs()).fold(0.0, f64::max);
+            for (n, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert!((*g - *w).abs() <= 1e-12 * peak, "{label} sample {n}");
+            }
         }
     }
 

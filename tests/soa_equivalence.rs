@@ -125,10 +125,9 @@ fn pa_scalar_twins_are_bit_exact_on_every_standard() {
     }
 }
 
-/// The split-array FFT path (radix-4 for powers of two, complex-engine
-/// bridge otherwise) matches the complex interleaved engine within 1e-12
-/// of the signal scale at every FFT size the registry uses, both
-/// directions.
+/// The split-array FFT path and the complex interleaved API run one
+/// engine: at every FFT size the registry uses, both directions, their
+/// outputs are equal bit for bit.
 #[test]
 fn fft_split_path_matches_complex_engine_at_registry_sizes() {
     let mut sizes: Vec<usize> = StandardId::ALL
@@ -155,12 +154,11 @@ fn fft_split_path_matches_complex_engine_at_registry_sizes() {
                 plan.inverse_in(&mut complex, &mut scratch);
                 plan.inverse_split_in(&mut re, &mut im, &mut scratch);
             }
-            let rms = (complex.iter().map(|z| z.norm_sqr()).sum::<f64>() / n as f64).sqrt();
             for (k, &want) in complex.iter().enumerate() {
-                let err = (Complex64::new(re[k], im[k]) - want).norm_sqr().sqrt();
-                assert!(
-                    err <= 1e-12 * (1.0 + rms),
-                    "n={n} forward={forward} bin {k}: err {err:.3e}"
+                assert_eq!(
+                    (re[k].to_bits(), im[k].to_bits()),
+                    (want.re.to_bits(), want.im.to_bits()),
+                    "n={n} forward={forward} bin {k}"
                 );
             }
         }
