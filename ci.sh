@@ -63,6 +63,13 @@ echo "==> workspace tests: every crate's own unit and integration tests"
 # root package is excluded here because tier-1 just ran it.
 cargo test --workspace --exclude ofdm-ip-family -q
 
+echo "==> Viterbi oracle tests in release: the build the benchmark runs"
+# The Viterbi core keeps its path metrics in i16 lanes. Integer overflow
+# panics in a debug build but wraps silently in a release build, which is
+# how the benchmark and the waterfalls run, so the oracle tests against
+# the reference decoder also run here with release arithmetic.
+cargo test --release -p ofdm-rx fec -q
+
 echo "==> rfsim-bench tests: the benchmark's own use of the library"
 # rfsim-bench is a separate package (its own workspace and lock file), so
 # tier-1 never builds it; a library change that breaks its use of

@@ -18,22 +18,61 @@ struct StepBits {
 
 /// A hard-decision Viterbi decoder for one [`ConvSpec`].
 ///
-/// Every decode runs one butterfly add-compare-select core: next state
-/// `ns` has the two predecessors `ns >> 1` and `(ns >> 1) | n_states/2`,
-/// the lower one wins on equal metrics, and the choice is kept as one
-/// decision bit per state and step.
+/// Every decode runs one add-compare-select core over blocks of `i16`
+/// lanes, one lane per butterfly, written as straight-line arithmetic
+/// that the compiler vectorises:
+///
+/// * **Branch classes.** Butterfly `j` joins predecessors `j` and
+///   `j + n_states/2` to next states `2j` and `2j + 1`, whose full
+///   registers are `2j + b` and `2j + b + n_states`. Every convolutional
+///   code is linear (`out(x ^ y) = out(x) ^ out(y)`), so its four branch
+///   words are `w_j ^ {0, T0, T1, T0 ^ T1}` with `w_j = out(2j)`,
+///   `T0 = out(1)` and `T1 = out(n_states)`. A step adjusts the received
+///   bits by each class once and sums every butterfly's Hamming distances
+///   from per-stream bit planes of `w_j`, with no table gather.
+/// * **Metrics.** Path metrics are `i16`, and every `RENORM = 256` steps
+///   the minimum is subtracted from all of them, which leaves every
+///   comparison unchanged. No metric leaves `[0, INF + n·(K−1) +
+///   RENORM·n]` for `n ≤ 8` streams and `K ≤ 16`, at most 18552 with
+///   `INF = 2^14`, below `i16::MAX`, so nothing overflows: a reachable
+///   state is at most `n·(K−1) ≤ 120` above the minimum (any state is
+///   K−1 steps from the best one, at most `n` per step), every metric
+///   grows by at most `RENORM·n` between renormalisations, and the
+///   unreachable states of the first K−1 steps start at `INF`, above any
+///   reachable metric of those steps, so they always lose to a reachable
+///   predecessor.
+/// * **Ties.** The lower predecessor wins on equal metrics (the upper one
+///   only when strictly cheaper), the rule of the per-state reference
+///   loop the tests keep, so every decoded bit is the same.
+/// * **Decisions.** Even and odd next states are computed as separate
+///   lane arrays and interleaved back into state order; each state's
+///   choice is one bit per step, `⌈n_states/16⌉` `u16` words a step.
 #[derive(Debug, Clone)]
 pub struct ViterbiDecoder {
     spec: ConvSpec,
-    /// The encoder's output word for every full register
-    /// `(state << 1) | input`.
-    outputs: Vec<u8>,
+    /// Stream `i`'s bit of every butterfly's base word `w_j = out(2j)`,
+    /// `0` or `1`, one lane per butterfly: plane `i` is
+    /// `planes[i·half .. (i+1)·half]` with `half = n_states/2`.
+    planes: Vec<i16>,
+    /// Per stream, its bit of each class `[0, T0, T1, T0 ^ T1]` XORed with
+    /// a received `0` (entry 0) or `1` (entry 1): XORed onto a plane lane,
+    /// it gives that stream's term of the class's Hamming distance.
+    flips: Vec<[[i16; 4]; 2]>,
 }
 
 impl ViterbiDecoder {
-    /// The most output streams a decoder takes: the per-step branch-metric
-    /// table has `2^n_streams` entries, indexed by a `u8` output word.
+    /// The most output streams a decoder takes: a step's received bits
+    /// and erasure mask are one `u8` word each.
     const MAX_STREAMS: usize = 8;
+
+    /// Butterflies per block: two 128-bit registers of `i16` lanes.
+    const LANES: usize = 16;
+
+    /// Steps between renormalisations of the path metrics.
+    const RENORM: usize = 256;
+
+    /// The starting metric of every state but 0.
+    const INF: i16 = 1 << 14;
 
     /// Builds a decoder matched to an encoder spec.
     ///
@@ -62,17 +101,27 @@ impl ViterbiDecoder {
             spec.puncture.pattern.len().is_multiple_of(n_streams),
             "puncture pattern length is not a multiple of the stream count"
         );
+        let parity = |full: u32, g: u32| ((full & g).count_ones() & 1) as i16;
         let n_states = 1u32 << (spec.constraint - 1);
-        let outputs = (0..2 * n_states)
-            .map(|full| {
-                let mut word = 0u8;
-                for (i, &g) in spec.polynomials.iter().enumerate() {
-                    word |= (((full & g).count_ones() & 1) as u8) << i;
-                }
-                word
+        let planes = spec
+            .polynomials
+            .iter()
+            .flat_map(|&g| (0..n_states / 2).map(move |j| parity(2 * j, g)))
+            .collect();
+        let flips = spec
+            .polynomials
+            .iter()
+            .map(|&g| {
+                let (t0, t1) = (parity(1, g), parity(n_states, g));
+                let classes = [0, t0, t1, t0 ^ t1];
+                [classes, classes.map(|c| c ^ 1)]
             })
             .collect();
-        ViterbiDecoder { spec, outputs }
+        ViterbiDecoder {
+            spec,
+            planes,
+            flips,
+        }
     }
 
     /// The matching spec.
@@ -89,7 +138,7 @@ impl ViterbiDecoder {
     /// Positions past the end of a short stream decode as erasures.
     pub fn decode_terminated(&self, punctured: &[u8], msg_len: usize) -> Vec<u8> {
         let steps = msg_len + (self.spec.constraint - 1) as usize;
-        let mut decoded = self.decode(&self.depuncture(punctured, steps), true);
+        let mut decoded = self.decode(&self.depuncture(punctured, steps));
         decoded.truncate(msg_len);
         decoded
     }
@@ -116,110 +165,145 @@ impl ViterbiDecoder {
             .collect()
     }
 
-    /// Viterbi over `steps` trellis steps; `symbols` holds
-    /// `steps × n_streams` optional hard bits (`None` is an erasure; only
-    /// the low bit of a `Some` counts). When `terminated` the survivor
-    /// ending in state 0 is traced; otherwise the best end state.
-    pub fn decode_hard(&self, symbols: &[Option<u8>], steps: usize, terminated: bool) -> Vec<u8> {
-        let n_streams = self.spec.polynomials.len();
-        let received: Vec<StepBits> = symbols[..steps * n_streams]
-            .chunks(n_streams)
-            .map(|symbols| {
-                let mut step = StepBits::default();
-                for (i, sym) in symbols.iter().enumerate() {
-                    if let Some(b) = sym {
-                        step.mask |= 1 << i;
-                        step.bits |= (b & 1) << i;
-                    }
-                }
-                step
-            })
-            .collect();
-        self.decode(&received, terminated)
-    }
-
-    /// The add-compare-select core shared by both entry points.
-    fn decode(&self, received: &[StepBits], terminated: bool) -> Vec<u8> {
-        // Unreachable states (the first K−1 steps) start at INF and may
-        // grow past it by a few branch metrics without overflowing; they
-        // always lose to a reachable predecessor, so the traceback never
-        // visits them.
-        const INF: u32 = u32::MAX / 2;
+    /// Viterbi over `received.len()` steps, tracing back the survivor
+    /// that ends in state 0.
+    fn decode(&self, received: &[StepBits]) -> Vec<u8> {
         let k = self.spec.constraint as usize;
         let n_states = 1usize << (k - 1);
-        let half = n_states / 2;
-        let words = n_states.div_ceil(64);
-        let steps = received.len();
-
-        let mut metric = vec![INF; n_states];
-        metric[0] = 0;
-        let mut next = vec![0u32; n_states];
-        let mut decisions = vec![0u64; steps * words];
-        // Indexed by a u8 output word, so every lookup is in bounds.
-        let mut branch = [0u32; 1 << Self::MAX_STREAMS];
-        let out_words = 1 << self.spec.polynomials.len();
-        let (low, high) = self.outputs.split_at(n_states);
-        // Next states per decision word, and their predecessor pairs.
-        let lanes = n_states.min(64);
-
-        for (step, dec) in received.iter().zip(decisions.chunks_exact_mut(words)) {
-            // Hamming distance of every possible output word to the
-            // received (unerased) bits.
-            for (word, bm) in branch[..out_words].iter_mut().enumerate() {
-                *bm = ((word as u8 ^ step.bits) & step.mask).count_ones();
-            }
-            // Butterfly: predecessors s0 and s0 + half feed the next
-            // states 2·s0 and 2·s0 + 1, whose full registers are `ns`
-            // (from s0) and `ns + n_states` (from s0 + half).
-            let (m_lo, m_hi) = metric.split_at(half);
-            let blocks = dec
-                .iter_mut()
-                .zip(m_lo.chunks(lanes / 2).zip(m_hi.chunks(lanes / 2)))
-                .zip(next.chunks_mut(lanes))
-                .zip(low.chunks(lanes).zip(high.chunks(lanes)));
-            for (((word, (m0s, m1s)), nx), (lo, hi)) in blocks {
-                let mut bits = 0u64;
-                let butterflies = m0s
-                    .iter()
-                    .zip(m1s)
-                    .zip(nx.chunks_exact_mut(2))
-                    .zip(lo.chunks_exact(2).zip(hi.chunks_exact(2)));
-                for (j, (((&m0, &m1), nx), (lo, hi))) in butterflies.enumerate() {
-                    for b in 0..2 {
-                        let c0 = m0 + branch[lo[b] as usize];
-                        let c1 = m1 + branch[hi[b] as usize];
-                        // Strict: the lower predecessor wins a tie.
-                        bits |= u64::from(c1 < c0) << (2 * j + b);
-                        nx[b] = c0.min(c1);
-                    }
-                }
-                *word = bits;
-            }
-            std::mem::swap(&mut metric, &mut next);
-        }
-
-        // Pick the end state.
-        let mut state = if terminated {
-            0usize
+        let row = n_states.div_ceil(16);
+        // Trellises narrower than a block (K ≤ 5) run one butterfly a block.
+        let decisions = if n_states / 2 >= Self::LANES {
+            self.forward::<{ Self::LANES }>(received)
         } else {
-            metric
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, &m)| m)
-                .map(|(s, _)| s)
-                .unwrap_or(0)
+            self.forward::<1>(received)
         };
 
         // Traceback: a decision bit is the MSB of the predecessor state;
         // the input bit is the LSB of the current state.
-        let mut out = vec![0u8; steps];
-        for (t, bit) in out.iter_mut().enumerate().rev() {
+        let mut state = 0usize;
+        let mut out = vec![0u8; received.len()];
+        for (bit, dec) in out.iter_mut().zip(decisions.chunks_exact(row)).rev() {
             *bit = (state & 1) as u8;
-            let msb = (decisions[t * words + state / 64] >> (state % 64)) & 1;
-            state = (state >> 1) | ((msb as usize) << (k - 2));
+            let msb = (dec[state / 16] >> (state % 16)) & 1;
+            state = (state >> 1) | (usize::from(msb) << (k - 2));
         }
         out
     }
+
+    /// The add-compare-select core, `L` butterflies a block: every
+    /// step's row of decision bits.
+    fn forward<const L: usize>(&self, received: &[StepBits]) -> Vec<u16> {
+        let n_states = 1usize << (self.spec.constraint - 1);
+        let half = n_states / 2;
+        let row = n_states.div_ceil(16);
+        let mut metric = vec![Self::INF; n_states];
+        metric[0] = 0;
+        let mut next = vec![0i16; n_states];
+        let mut decisions = vec![0u16; received.len() * row];
+        let streams: Vec<_> = self
+            .planes
+            .chunks_exact(half)
+            .map(|plane| plane.as_chunks::<L>().0)
+            .zip(&self.flips)
+            .collect();
+        // A step's unerased streams: each one's plane and the flips of its
+        // received bit.
+        let mut live: [(&[[i16; L]], [i16; 4]); Self::MAX_STREAMS] =
+            [(&[], [0; 4]); Self::MAX_STREAMS];
+
+        for (t, (step, dec)) in received
+            .iter()
+            .zip(decisions.chunks_exact_mut(row))
+            .enumerate()
+        {
+            if t % Self::RENORM == 0 {
+                let min = metric.iter().copied().min().unwrap_or(0);
+                metric.iter_mut().for_each(|m| *m -= min);
+            }
+            let mut n_live = 0;
+            for (i, &(plane, flips)) in streams.iter().enumerate() {
+                live[n_live] = (plane, flips[usize::from((step.bits >> i) & 1)]);
+                n_live += usize::from((step.mask >> i) & 1);
+            }
+            let (m_lo, m_hi) = metric.split_at(half);
+            let blocks = m_lo
+                .as_chunks::<L>()
+                .0
+                .iter()
+                .zip(m_hi.as_chunks::<L>().0)
+                .zip(next.chunks_exact_mut(2 * L));
+            for (b, ((m0, m1), nx)) in blocks.enumerate() {
+                // Per class, the block's Hamming distances.
+                let mut dist = [[0i16; L]; 4];
+                for &(plane, flips) in &live[..n_live] {
+                    for (d, x) in dist.iter_mut().zip(flips) {
+                        for (d, p) in d.iter_mut().zip(&plane[b]) {
+                            *d += p ^ x;
+                        }
+                    }
+                }
+                // Next state 2j is reached through w (from j) or w ^ T1
+                // (from j + half); 2j + 1 through w ^ T0 or w ^ T0 ^ T1.
+                let (even, even_won) = add_compare_select(m0, m1, &dist[0], &dist[2]);
+                let (odd, odd_won) = add_compare_select(m0, m1, &dist[1], &dist[3]);
+                let mut won = [0i16; 2 * Self::LANES];
+                for l in 0..L {
+                    nx[2 * l] = even[l];
+                    nx[2 * l + 1] = odd[l];
+                    won[2 * l] = even_won[l];
+                    won[2 * l + 1] = odd_won[l];
+                }
+                let at = 2 * L * b;
+                for (word, lanes) in dec[at / 16..].iter_mut().zip(won[..2 * L].chunks(16)) {
+                    *word |= pack_decisions(lanes) << (at % 16);
+                }
+            }
+            std::mem::swap(&mut metric, &mut next);
+        }
+        decisions
+    }
+}
+
+/// One lane-wise add-compare-select: per lane, the survivor's metric and
+/// `-1` where the upper predecessor (`m1`) won, which it does only when
+/// strictly cheaper.
+fn add_compare_select<const L: usize>(
+    m0: &[i16; L],
+    m1: &[i16; L],
+    d0: &[i16; L],
+    d1: &[i16; L],
+) -> ([i16; L], [i16; L]) {
+    let mut metric = [0i16; L];
+    let mut won = [0i16; L];
+    for l in 0..L {
+        let (c0, c1) = (m0[l] + d0[l], m1[l] + d1[l]);
+        metric[l] = c0.min(c1);
+        won[l] = -i16::from(c1 < c0);
+    }
+    (metric, won)
+}
+
+/// Packs up to 16 decision lanes (each `0` or `-1`) into one word, lane
+/// `b` into bit `b`.
+fn pack_decisions(lanes: &[i16]) -> u16 {
+    #[cfg(target_arch = "x86_64")]
+    if let Ok(lanes) = <&[i16; 16]>::try_from(lanes) {
+        use std::arch::x86_64::{_mm_loadu_si128, _mm_movemask_epi8, _mm_packs_epi16};
+        // SAFETY: SSE2 is part of the x86_64 baseline, so these
+        // intrinsics exist on every x86_64 target; the two unaligned
+        // 16-byte loads read lanes 0..8 and 8..16 of a 16-lane array.
+        // The saturating pack keeps each lane's sign, and movemask
+        // gathers the 16 signs in lane order.
+        return unsafe {
+            let lo = _mm_loadu_si128(lanes.as_ptr().cast());
+            let hi = _mm_loadu_si128(lanes.as_ptr().add(8).cast());
+            _mm_movemask_epi8(_mm_packs_epi16(lo, hi)) as u16
+        };
+    }
+    lanes
+        .iter()
+        .enumerate()
+        .fold(0, |word, (b, &lane)| word | (lane as u16 & (1 << b)))
 }
 
 #[cfg(test)]
@@ -367,75 +451,161 @@ mod tests {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// The butterfly core decodes exactly the bits of the reference
-        /// loop — terminated and unterminated, clean, noisy, all-erased and
-        /// all-zero (every metric tied) — for K = 2..=9 at every standard
-        /// rate and for the K = 3 (7, 5) code.
-        #[test]
-        fn butterfly_core_matches_reference_decoder(
-            constraint in 2u32..=9,
-            taps in any::<u32>(),
-            rate in 0usize..5,
-            msg in vec(0u8..=1, 0..160),
-            flip_percent in 0u64..=25,
-            stream in 0u8..4,
-            noise_seed in any::<u64>(),
-        ) {
-            let puncture = [
-                PunctureSpec::none(),
-                PunctureSpec::rate_two_thirds(),
-                PunctureSpec::rate_three_quarters(),
-                PunctureSpec::rate_five_sixths(),
-                PunctureSpec::none(),
-            ][rate].clone();
-            let spec = if rate == 4 {
-                spec(3, vec![0b111, 0b101], puncture)
-            } else {
-                // Two generators with both the newest and oldest tap set.
-                let ends = 1 | (1 << (constraint - 1));
-                let span = (1u32 << constraint) - 1;
-                spec(constraint, vec![(taps & span) | ends, ((taps >> 16) & span) | ends], puncture)
-            };
-            let mut coded = ConvCode::new(spec.clone()).expect("valid").encode_terminated(&msg);
-            // Stream 0 is all-erased: the decoder sees no bit at all.
-            let erased = stream == 0;
-            match stream {
-                0 => {}
-                1 => coded.iter_mut().for_each(|b| *b = 0),
-                _ => {
-                    let mut x = noise_seed | 1;
-                    for b in coded.iter_mut() {
-                        x ^= x << 13;
-                        x ^= x >> 7;
-                        x ^= x << 17;
-                        if x % 100 < flip_percent {
-                            *b ^= 1;
-                        }
+    /// Encodes `msg` and passes it through `channel`: 0 erases the whole
+    /// stream, 1 zeroes it (every metric tied), any other value flips each
+    /// bit with probability `flip_percent`%. Then checks that the lane
+    /// core decodes exactly the bits of the reference loop.
+    fn assert_matches_reference(
+        spec: &ConvSpec,
+        msg: &[u8],
+        channel: u8,
+        flip_percent: u64,
+        noise_seed: u64,
+    ) -> Result<(), String> {
+        let mut coded = ConvCode::new(spec.clone())
+            .expect("valid")
+            .encode_terminated(msg);
+        match channel {
+            0 => coded.clear(),
+            1 => coded.iter_mut().for_each(|b| *b = 0),
+            _ => {
+                let mut x = noise_seed | 1;
+                for b in coded.iter_mut() {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    if x % 100 < flip_percent {
+                        *b ^= 1;
                     }
                 }
             }
-            let decoder = ViterbiDecoder::new(spec.clone());
-            let punctured: &[u8] = if erased { &[] } else { &coded };
-            prop_assert_eq!(
-                decoder.decode_terminated(punctured, msg.len()),
-                reference_decode_terminated(&spec, punctured, msg.len())
-            );
-            let mut symbols = reference_depuncture(&spec, &coded);
-            if erased {
-                symbols.iter_mut().for_each(|s| *s = None);
-            }
-            let steps = symbols.len() / spec.polynomials.len();
-            symbols.truncate(steps * spec.polynomials.len());
-            for terminated in [false, true] {
-                prop_assert_eq!(
-                    decoder.decode_hard(&symbols, steps, terminated),
-                    reference_decode_hard(&spec, &symbols, steps, terminated)
-                );
+        }
+        prop_assert_eq!(
+            ViterbiDecoder::new(spec.clone()).decode_terminated(&coded, msg.len()),
+            reference_decode_terminated(spec, &coded, msg.len())
+        );
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The lane core decodes exactly the bits of the reference loop —
+        /// clean, noisy, all-erased and all-zero — for K = 2..=10 and
+        /// 1..=8 streams with unconstrained generator taps (so `T0` and
+        /// `T1` need not be all-ones), unpunctured, at the standard
+        /// rate-1/2 puncture patterns and at random ones.
+        #[test]
+        fn butterfly_core_matches_reference_decoder(
+            constraint in 2u32..=10,
+            n_streams in 1usize..=8,
+            taps in vec(any::<u32>(), 8),
+            rate in 0usize..5,
+            keep in any::<u32>(),
+            msg in vec(0u8..=1, 0..160),
+            flip_percent in 0u64..=25,
+            channel in 0u8..4,
+            noise_seed in any::<u64>(),
+        ) {
+            let span = (1u32 << constraint) - 1;
+            let polynomials: Vec<u32> = taps[..n_streams].iter().map(|&g| g & span).collect();
+            let puncture = match rate {
+                1..=3 if n_streams == 2 => [
+                    PunctureSpec::rate_two_thirds(),
+                    PunctureSpec::rate_three_quarters(),
+                    PunctureSpec::rate_five_sixths(),
+                ][rate - 1]
+                    .clone(),
+                // A random pattern of 1..=4 periods, its first bit kept.
+                4 => PunctureSpec {
+                    pattern: (0..(1 + (keep >> 30) as usize) * n_streams)
+                        .map(|i| i == 0 || (keep >> (i % 30)) & 1 == 1)
+                        .collect(),
+                },
+                _ => PunctureSpec::none(),
+            };
+            assert_matches_reference(
+                &spec(constraint, polynomials, puncture),
+                &msg,
+                channel,
+                flip_percent,
+                noise_seed,
+            )?;
+        }
+    }
+
+    /// One long message per stream count, over ten renormalisation
+    /// periods, at 25% flips and all-erased: the standard K = 7 pair for
+    /// two streams, and fixed generators for the others.
+    #[test]
+    fn long_streams_match_reference_decoder() {
+        let msg: Vec<u8> = (0..10 * ViterbiDecoder::RENORM + 40)
+            .map(|i| ((i * 7 + 3) % 5 < 2) as u8)
+            .collect();
+        for n_streams in 1..=8usize {
+            let spec = if n_streams == 2 {
+                ConvSpec::k7_rate_half()
+            } else {
+                let constraint = 2 + n_streams as u32;
+                let span = (1u32 << constraint) - 1;
+                let polynomials = (0..n_streams as u32)
+                    .map(|i| (0x9e37_79b9u32.rotate_left(5 * i) >> 3) & span)
+                    .collect();
+                spec(constraint, polynomials, PunctureSpec::none())
+            };
+            for (channel, flip_percent) in [(2, 25), (0, 0)] {
+                assert_matches_reference(&spec, &msg, channel, flip_percent, 17 + n_streams as u64)
+                    .unwrap_or_else(|e| panic!("{n_streams} streams, channel {channel}: {e}"));
             }
         }
+    }
+
+    /// The widest trellis `new` accepts, K = 16 with eight streams, where
+    /// a reachable metric can sit the full `n·(K−1) = 120` above the best.
+    #[test]
+    fn widest_trellis_matches_reference_decoder() {
+        let polynomials = (0..8u32)
+            .map(|i| 0x8001 | (0x6a09_e667u32.rotate_left(3 * i) & 0xffff))
+            .collect();
+        let msg: Vec<u8> = (0..24).map(|i| ((i * 5 + 1) % 3 == 0) as u8).collect();
+        assert_matches_reference(
+            &spec(16, polynomials, PunctureSpec::none()),
+            &msg,
+            2,
+            25,
+            99,
+        )
+        .expect("lane core matches the reference");
+    }
+
+    /// Seven all-zero generators received as all ones cost every branch
+    /// 7 a step, close to the `n` a step the metric bound allows, so the
+    /// metrics climb through twenty renormalisations; the eighth stream
+    /// carries the message at 25% flips.
+    #[test]
+    fn renormalisation_keeps_fast_growing_metrics_exact() {
+        let spec = spec(3, vec![0b111, 0, 0, 0, 0, 0, 0, 0], PunctureSpec::none());
+        let msg: Vec<u8> = (0..20 * ViterbiDecoder::RENORM)
+            .map(|i| ((i * 7 + 3) % 5 < 2) as u8)
+            .collect();
+        let mut coded = ConvCode::new(spec.clone())
+            .expect("valid")
+            .encode_terminated(&msg);
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for (i, b) in coded.iter_mut().enumerate() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            if i % 8 != 0 {
+                *b = 1;
+            } else if x % 100 < 25 {
+                *b ^= 1;
+            }
+        }
+        assert_eq!(
+            ViterbiDecoder::new(spec.clone()).decode_terminated(&coded, msg.len()),
+            reference_decode_terminated(&spec, &coded, msg.len())
+        );
     }
 
     fn roundtrip(spec: ConvSpec, msg: &[u8]) -> Vec<u8> {
@@ -548,18 +718,6 @@ mod tests {
         };
         let msg = test_msg(64);
         assert_eq!(roundtrip(spec, &msg), msg);
-    }
-
-    #[test]
-    fn unterminated_decode_best_state() {
-        let spec = ConvSpec::k7_rate_half();
-        let msg = test_msg(50);
-        let mut enc = ConvCode::new(spec.clone()).unwrap();
-        let coded = enc.encode(&msg); // NOT terminated
-        let symbols: Vec<Option<u8>> = coded.iter().map(|&b| Some(b)).collect();
-        let decoded = ViterbiDecoder::new(spec).decode_hard(&symbols, msg.len(), false);
-        // All but the last few bits (no tail protection) must match.
-        assert_eq!(&decoded[..40], &msg[..40]);
     }
 
     #[test]

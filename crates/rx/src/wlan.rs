@@ -27,6 +27,7 @@ use ofdm_standards::wlan_packet;
 use rfsim::Signal;
 use std::error::Error;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Packet-reception failures.
 #[derive(Debug, Clone, PartialEq)]
@@ -121,8 +122,7 @@ impl WlanPacketReceiver {
         let (cre, cim) = sync::correct_cfo_parts(re, im, coarse_cfo, fs);
 
         // 2. Frame timing: cross-correlate with the known long symbol.
-        let ltf = ieee80211a::long_training_field();
-        let reference = &ltf[32..96]; // one 64-sample long-symbol body
+        let reference = &ltf_reference().body;
         let ltf_start = best_double_correlation(&cre[..window], &cim[..window], reference, 64)
             .ok_or(WlanRxError::NoPreamble)?;
 
@@ -170,6 +170,24 @@ impl WlanPacketReceiver {
             ltf_start,
         })
     }
+}
+
+/// The known long training field, built once per process: every packet
+/// is timed against the same long-symbol body and estimated against the
+/// same carrier sequence.
+struct LtfReference {
+    /// One 64-sample long-symbol body of the rendered LTF.
+    body: Vec<Complex64>,
+    /// The LTF's `(carrier, value)` cells.
+    sequence: Vec<(i32, Complex64)>,
+}
+
+fn ltf_reference() -> &'static LtfReference {
+    static REFERENCE: OnceLock<LtfReference> = OnceLock::new();
+    REFERENCE.get_or_init(|| LtfReference {
+        body: ieee80211a::long_training_field()[32..96].to_vec(),
+        sequence: ieee80211a::ltf_sequence(),
+    })
 }
 
 /// Finds the offset `d` maximizing the normalized correlation with
@@ -230,7 +248,8 @@ fn ltf_channel_estimate(re: &[f64], im: &[f64], ltf_start: usize) -> ChannelEsti
     // The TX rendered the LTF with scale 64/√52 before its IFFT (1/64):
     // forward FFT returns cell·64/√52, so normalize by √52/64.
     let scale = 52f64.sqrt() / 64.0;
-    let received: Vec<(i32, Complex64)> = ieee80211a::ltf_sequence()
+    let sequence = &ltf_reference().sequence;
+    let received: Vec<(i32, Complex64)> = sequence
         .iter()
         .map(|&(k, _)| {
             let bin = if k >= 0 {
@@ -241,7 +260,7 @@ fn ltf_channel_estimate(re: &[f64], im: &[f64], ltf_start: usize) -> ChannelEsti
             (k, Complex64::new(avg_re[bin], avg_im[bin]).scale(scale))
         })
         .collect();
-    ChannelEstimate::from_reference(&received, &ieee80211a::ltf_sequence())
+    ChannelEstimate::from_reference(&received, sequence)
 }
 
 #[cfg(test)]
