@@ -33,19 +33,24 @@ echo "==> cargo fmt --check"
 cargo fmt --all --check
 
 echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace --all-targets -- -D warnings
+# Tests and examples may read a Signal's interleaved view (the
+# clippy.toml disallowed methods); the library gates below deny it.
+cargo clippy --workspace --all-targets -- -D warnings -A clippy::disallowed_methods
 
-echo "==> clippy fault-path gate: no unwrap/panic in rfsim, core, rx + dsp lib code"
+echo "==> clippy library gate: no unwrap/panic, no interleaved Signal view in rfsim, core, rx + dsp lib code"
 # Execution paths through Graph::execute / SweepPlan must degrade via
 # typed SimError values, never unwind. The receiver and the DSP substrate
 # run inside SweepPlan's waterfall points and share the transmitter's
 # process-wide tables, so they are held to the same rule. Only the library
 # targets are gated (--lib skips #[cfg(test)] modules, integration tests
-# and benches, which are free to unwrap/assert).
+# and benches, which are free to unwrap/assert). The same targets, and
+# the ofdm-family binary, keep one sample layout: clippy.toml disallows
+# Signal's allocating interleaved views (samples, into_samples) there.
 cargo clippy -p rfsim -p ofdm-core -p ofdm-rx -p ofdm-dsp --lib -- \
-    -D warnings -D clippy::unwrap_used -D clippy::panic
+    -D warnings -D clippy::unwrap_used -D clippy::panic -D clippy::disallowed_methods
 cargo clippy -p ofdm-bench --lib -- \
-    -D warnings -D clippy::unwrap_used -D clippy::panic
+    -D warnings -D clippy::unwrap_used -D clippy::panic -D clippy::disallowed_methods
+cargo clippy -p ofdm-ip-family --bins -- -D warnings -D clippy::disallowed_methods
 
 echo "==> cargo doc --no-deps (warnings are errors)"
 # Broken intra-doc links and malformed doc comments fail the gate; the

@@ -22,7 +22,7 @@ use crate::{
     evm_after_gain_correction, loopback_errors, payload_bits, time_per_run, transmit_frame,
 };
 use ofdm_core::source::OfdmSource;
-use ofdm_core::MotherModel;
+use ofdm_core::{count_bit_errors, MotherModel};
 use ofdm_rtl::{FxFormat, Tx80211aRtl};
 use ofdm_rx::receiver::ReferenceReceiver;
 use ofdm_standards::ieee80211a::{self, WlanRate};
@@ -141,7 +141,10 @@ fn rf_cosim(cfg: &CellCfg) -> Result<Vec<Metric>, String> {
 
     // 4× oversampled path: spectral regrowth lands inside Nyquist.
     let mut up = Resampler::new(4, 1, 16);
-    let oversampled = Signal::new(up.process(&frame.samples()), p.sample_rate * 4.0);
+    let (re, im) = frame.signal().parts();
+    let (mut up_re, mut up_im) = (Vec::new(), Vec::new());
+    up.process_split(re, im, &mut up_re, &mut up_im);
+    let oversampled = Signal::from_parts(up_re, up_im, p.sample_rate * 4.0);
 
     let mut g = Graph::new();
     let src = g.add(SamplePlayback::new(oversampled.clone()));
@@ -329,15 +332,15 @@ fn rtl_equivalence(cfg: &CellCfg) -> Result<Vec<Metric>, String> {
     let mut dot = 0.0f64;
     let mut pb = 0.0f64;
     let mut pr = 0.0f64;
-    for (b, r) in frame_b.samples().iter().zip(&frame_r.samples) {
-        let d = (*b - *r).abs();
+    for (b, r) in frame_b.signal().iter().zip(&frame_r.samples) {
+        let d = (b - *r).abs();
         max_d = max_d.max(d);
         err2 += d * d;
         dot += (b.conj() * *r).re;
         pb += b.norm_sqr();
         pr += r.norm_sqr();
     }
-    let rms = (err2 / frame_b.samples().len() as f64).sqrt();
+    let rms = (err2 / frame_b.signal().len() as f64).sqrt();
     let corr = dot / (pb * pr).sqrt();
     Ok(vec![
         Metric::new("max_abs_err", max_d),
@@ -414,7 +417,7 @@ fn coded_ber(cfg: &CellCfg) -> Result<Vec<Metric>, String> {
     let got = rx
         .receive(&received, sent.len())
         .map_err(|e| e.to_string())?;
-    let errors = sent.iter().zip(&got).filter(|(a, b)| a != b).count();
+    let errors = count_bit_errors(&sent, &got);
     Ok(vec![Metric::new("ber", errors as f64 / n_bits as f64)])
 }
 
@@ -457,7 +460,7 @@ fn doppler_ber(cfg: &CellCfg) -> Result<Vec<Metric>, String> {
     let got = rx
         .receive(received, sent.len())
         .map_err(|e| e.to_string())?;
-    let errors = sent.iter().zip(&got).filter(|(a, b)| a != b).count();
+    let errors = count_bit_errors(&sent, &got);
     Ok(vec![
         Metric::new("ber", errors as f64 / n_bits as f64),
         // VHF band III ≈ 200 MHz: v = f_d·c/f ≈ f_d · 5.4 km/h per Hz.
@@ -619,7 +622,7 @@ fn breaker_degraded() -> Result<Vec<Metric>, String> {
         .map_err(|e| e.to_string())?
         .ok_or("telemetry was requested")?;
     let out = g.output(pa).ok_or("probe never ran")?;
-    let exact = out.samples() == clean_out.samples();
+    let exact = out.parts() == clean_out.parts();
     Ok(vec![
         Metric::new(
             "health_degraded",

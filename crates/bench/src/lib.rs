@@ -8,7 +8,7 @@ pub mod waterfall;
 
 use ofdm_core::params::OfdmParams;
 use ofdm_core::tx::Frame;
-use ofdm_core::MotherModel;
+use ofdm_core::{count_bit_errors, MotherModel};
 use ofdm_rx::receiver::ReferenceReceiver;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -44,7 +44,7 @@ pub fn loopback_errors(params: &OfdmParams, n_bits: usize, seed: u64) -> usize {
     let got = rx
         .receive(frame.signal(), sent.len())
         .expect("loopback decodes");
-    sent.iter().zip(&got).filter(|(a, b)| a != b).count()
+    count_bit_errors(&sent, &got) as usize
 }
 
 /// EVM (dB) of a received waveform against the transmitted frame's cell
@@ -103,17 +103,6 @@ pub fn evm_after_gain_correction(
     10.0 * (err / refpow).max(1e-20).log10()
 }
 
-/// Formats seconds human-readably (µs/ms/s).
-pub fn fmt_secs(s: f64) -> String {
-    if s < 1e-3 {
-        format!("{:.1} µs", s * 1e6)
-    } else if s < 1.0 {
-        format!("{:.2} ms", s * 1e3)
-    } else {
-        format!("{s:.2} s")
-    }
-}
-
 /// Times a closure over `iters` runs, returning seconds per run (best of
 /// three batches to shave scheduler noise).
 pub fn time_per_run<F: FnMut()>(mut f: F, iters: usize) -> f64 {
@@ -149,13 +138,6 @@ mod tests {
     fn frame_helper_transmits() {
         let f = transmit_frame(&minimal_test_params(), 48, 1);
         assert_eq!(f.symbol_count(), 2);
-    }
-
-    #[test]
-    fn formatting() {
-        assert!(fmt_secs(2e-6).contains("µs"));
-        assert!(fmt_secs(2e-3).contains("ms"));
-        assert!(fmt_secs(2.0).contains('s'));
     }
 
     #[test]

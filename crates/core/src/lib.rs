@@ -39,7 +39,7 @@
 //! let mut tx = MotherModel::new(params)?;
 //! let bits = vec![1u8; 96];
 //! let frame = tx.transmit(&bits)?;
-//! assert!(!frame.samples().is_empty());
+//! assert!(!frame.signal().is_empty());
 //! # Ok(())
 //! # }
 //! ```
@@ -61,4 +61,4 @@ pub mod tx;
 pub use ber::{count_bit_errors, BerCounter, BitSource};
 pub use error::{ConfigError, TxError};
 pub use params::OfdmParams;
-pub use tx::{Frame, FrameStream, MotherModel, StageNanos, StreamState};
+pub use tx::{Frame, MotherModel, StageNanos, StreamState};

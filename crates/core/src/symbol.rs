@@ -319,19 +319,6 @@ impl SymbolModulator {
         }
         out.overlap = w;
     }
-
-    /// Wraps pre-rendered time-domain `fft_size` samples (e.g. a preamble
-    /// body) in the same guard/shaping as a data symbol.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `body.len() != fft_size`.
-    pub fn shape_time_domain(&self, body: Vec<Complex64>) -> ShapedSymbol {
-        assert_eq!(body.len(), self.fft_size, "body must be fft_size samples");
-        let mut out = ShapedSymbol::default();
-        self.shape_into(&mut out, |dst| dst.copy_from_slice(&body));
-        out
-    }
 }
 
 /// Overlap-adds shaped symbols into a contiguous waveform.
@@ -447,8 +434,12 @@ mod tests {
         // Complementary raised-cosine edges: two overlapped constant
         // symbols sum to constant amplitude in the seam.
         let m = SymbolModulator::new(64, GuardInterval::Samples(16), 8, false).unwrap();
-        let a = m.shape_time_domain(vec![Complex64::ONE; 64]);
-        let b = m.shape_time_domain(vec![Complex64::ONE; 64]);
+        let constant = || {
+            let mut s = ShapedSymbol::default();
+            m.shape_into(&mut s, |dst| dst.fill(Complex64::ONE));
+            s
+        };
+        let (a, b) = (constant(), constant());
         let wave = assemble(&[a, b]);
         // Seam region: samples around the net_len boundary are 1.0.
         for (i, z) in wave.iter().enumerate().take(88).skip(72) {
@@ -509,12 +500,5 @@ mod tests {
             assert_eq!(reference.samples, out.samples);
             assert_eq!(reference.overlap, out.overlap);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "fft_size samples")]
-    fn shape_wrong_body_panics() {
-        let m = SymbolModulator::new(64, GuardInterval::Samples(16), 0, false).unwrap();
-        let _ = m.shape_time_domain(vec![Complex64::ZERO; 32]);
     }
 }

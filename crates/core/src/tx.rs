@@ -89,11 +89,6 @@ impl Frame {
         self.signal
     }
 
-    /// The raw samples, interleaved from the signal's split storage.
-    pub fn samples(&self) -> Vec<Complex64> {
-        self.signal.samples()
-    }
-
     /// Per-data-symbol `(carrier, cell)` ground truth, pilots included,
     /// after differential encoding (i.e. exactly what went into the IFFT).
     pub fn symbol_cells(&self) -> &[Vec<(i32, Complex64)>] {
@@ -257,55 +252,6 @@ fn push_overlap_add(
         buf[start + i] += z;
     }
     *finalized = start + net_len;
-}
-
-/// A borrowed handle streaming one frame in caller-sized sample chunks.
-///
-/// Obtained from [`MotherModel::stream`]. For buffer reuse across frames,
-/// hold a [`StreamState`] yourself and use [`MotherModel::begin_stream`] /
-/// [`MotherModel::stream_into`] directly.
-///
-/// # Example
-///
-/// ```
-/// use ofdm_core::params::presets;
-/// use ofdm_core::MotherModel;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut tx = MotherModel::new(presets::minimal_test_params())?;
-/// let mut stream = tx.stream(&[1, 0, 1, 1])?;
-/// let mut chunk = Vec::new();
-/// let mut total = 0;
-/// while stream.next_chunk(32, &mut chunk) > 0 {
-///     total += chunk.len();
-///     chunk.clear();
-/// }
-/// assert_eq!(total, 80); // one 64+16 symbol
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct FrameStream<'a> {
-    model: &'a mut MotherModel,
-    state: StreamState,
-}
-
-impl FrameStream<'_> {
-    /// Appends up to `max_samples` of the frame to `out`; returns the
-    /// number appended, `0` once the frame is complete.
-    pub fn next_chunk(&mut self, max_samples: usize, out: &mut Vec<Complex64>) -> usize {
-        self.model.stream_into(&mut self.state, max_samples, out)
-    }
-
-    /// `true` once the whole frame has been emitted.
-    pub fn is_finished(&self) -> bool {
-        self.state.is_finished()
-    }
-
-    /// The underlying stream state (e.g. for [`StreamState::coded_bits`]).
-    pub fn state(&self) -> &StreamState {
-        &self.state
-    }
 }
 
 /// The reconfigurable OFDM transmitter (the Mother Model).
@@ -579,6 +525,27 @@ impl MotherModel {
     /// one at a time, and drained through the overlap-add carry window —
     /// the concatenation of all chunks is bit-exact with the waveform
     /// [`MotherModel::transmit`] builds in one piece, for any chunking.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use ofdm_core::params::presets;
+    /// use ofdm_core::{MotherModel, StreamState};
+    ///
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let mut tx = MotherModel::new(presets::minimal_test_params())?;
+    /// let mut state = StreamState::new();
+    /// tx.begin_stream(&[1, 0, 1, 1], &mut state)?;
+    /// let mut chunk = Vec::new();
+    /// let mut total = 0;
+    /// while tx.stream_into(&mut state, 32, &mut chunk) > 0 {
+    ///     total += chunk.len();
+    ///     chunk.clear();
+    /// }
+    /// assert_eq!(total, 80); // one 64+16 symbol
+    /// # Ok(())
+    /// # }
+    /// ```
     pub fn stream_into(
         &mut self,
         state: &mut StreamState,
@@ -612,19 +579,6 @@ impl MotherModel {
             emitted += take;
         }
         emitted
-    }
-
-    /// Streams one frame through a borrowed [`FrameStream`] handle (fresh
-    /// internal state; see [`MotherModel::begin_stream`] to reuse one).
-    ///
-    /// # Errors
-    ///
-    /// [`TxError::EmptyPayload`] if `payload` is empty;
-    /// [`TxError::InvalidBit`] if any payload byte is not 0 or 1.
-    pub fn stream(&mut self, payload: &[u8]) -> Result<FrameStream<'_>, TxError> {
-        let mut state = StreamState::new();
-        self.begin_stream(payload, &mut state)?;
-        Ok(FrameStream { model: self, state })
     }
 
     /// Produces the next section (preamble element or data symbol) into the
@@ -822,7 +776,7 @@ mod tests {
         assert_eq!(frame.payload_bits(), 48);
         assert_eq!(frame.coded_bits(), 48);
         // 64 FFT + 16 CP per symbol.
-        assert_eq!(frame.samples().len(), 2 * 80);
+        assert_eq!(frame.signal().len(), 2 * 80);
         // Body power is exactly 1 by Parseval; the short CP section adds a
         // statistical fluctuation around it.
         assert!((frame.signal().power() - 1.0).abs() < 0.15);
@@ -872,9 +826,13 @@ mod tests {
         let frame = tx.transmit(&bits(24)).unwrap();
         let cells = &frame.symbol_cells()[0];
         let fft = ofdm_dsp::fft::Fft::new(64);
-        let body = &frame.samples()[16..80];
-        let mut freq = body.to_vec();
-        fft.forward(&mut freq);
+        let (re, im) = frame.signal().parts();
+        let (mut freq_re, mut freq_im) = (re[16..80].to_vec(), im[16..80].to_vec());
+        fft.forward_split_in(
+            &mut freq_re,
+            &mut freq_im,
+            &mut ofdm_dsp::fft::FftScratch::new(),
+        );
         // Normalization: modulate scaled by N/√occupied; forward FFT gives
         // N·(that scale)⁻¹... check proportionality instead.
         let n_cells = cells.len() as f64;
@@ -884,7 +842,7 @@ mod tests {
             } else {
                 (64 + k) as usize
             };
-            let measured = freq[bin].scale(n_cells.sqrt() / 64.0);
+            let measured = Complex64::new(freq_re[bin], freq_im[bin]).scale(n_cells.sqrt() / 64.0);
             assert!((measured - v).abs() < 1e-9, "carrier {k}");
         }
     }
@@ -898,8 +856,10 @@ mod tests {
         let mut tx2 = MotherModel::new(p_scr).unwrap();
         let f1 = tx1.transmit(&bits(48)).unwrap();
         let f2 = tx2.transmit(&bits(48)).unwrap();
-        assert_ne!(f1.samples()[0], f2.samples()[0]);
-        assert!((mean_power(&f1.samples()) - mean_power(&f2.samples())).abs() < 0.25);
+        assert_ne!(f1.signal().samples()[0], f2.signal().samples()[0]);
+        assert!(
+            (mean_power(&f1.signal().samples()) - mean_power(&f2.signal().samples())).abs() < 0.25
+        );
     }
 
     #[test]
@@ -1029,7 +989,7 @@ mod tests {
         let frame = tx.transmit(&bits(1000)).unwrap();
         // Half-length synthesis writes a real body: the imaginary part is
         // exactly +0.0, not merely small.
-        for z in frame.samples() {
+        for z in frame.signal().samples() {
             assert_eq!(z.im.to_bits(), 0, "imag leak {}", z.im);
         }
     }
@@ -1067,8 +1027,8 @@ mod tests {
         p.preamble = vec![PreambleElement::Null { len: 50 }];
         let mut tx = MotherModel::new(p).unwrap();
         let frame = tx.transmit(&bits(24)).unwrap();
-        assert_eq!(frame.samples().len(), 50 + 80);
-        for z in &frame.samples()[..50] {
+        assert_eq!(frame.signal().len(), 50 + 80);
+        for z in &frame.signal().samples()[..50] {
             assert_eq!(z.abs(), 0.0);
         }
     }
@@ -1119,7 +1079,7 @@ mod tests {
             tx_b.begin_stream(&payload, &mut state).unwrap();
             while tx_b.stream_into(&mut state, chunk, &mut streamed) > 0 {}
             assert!(state.is_finished());
-            assert_eq!(frame.samples(), &streamed[..], "chunk={chunk}");
+            assert_eq!(frame.signal().samples(), &streamed[..], "chunk={chunk}");
             assert_eq!(state.coded_bits(), frame.coded_bits());
         }
     }
@@ -1137,7 +1097,7 @@ mod tests {
             let mut streamed = Vec::new();
             tx_b.begin_stream(&payload, &mut state).unwrap();
             while tx_b.stream_into(&mut state, 13, &mut streamed) > 0 {}
-            assert_eq!(frame.samples(), &streamed[..], "frame={frame_no}");
+            assert_eq!(frame.signal().samples(), &streamed[..], "frame={frame_no}");
         }
     }
 
@@ -1183,21 +1143,6 @@ mod tests {
     }
 
     #[test]
-    fn frame_stream_handle_emits_whole_frame() {
-        let mut tx = MotherModel::new(minimal_test_params()).unwrap();
-        let reference = {
-            let mut twin = MotherModel::new(minimal_test_params()).unwrap();
-            twin.transmit(&bits(48)).unwrap()
-        };
-        let mut stream = tx.stream(&bits(48)).unwrap();
-        assert!(!stream.is_finished());
-        let mut out = Vec::new();
-        while stream.next_chunk(11, &mut out) > 0 {}
-        assert!(stream.is_finished());
-        assert_eq!(reference.samples(), &out[..]);
-    }
-
-    #[test]
     fn stage_timing_decomposes_streamed_symbols() {
         let mut tx = MotherModel::new(minimal_test_params()).unwrap();
         let mut state = StreamState::new();
@@ -1235,7 +1180,7 @@ mod tests {
         tx.begin_stream(&payload, &mut state).unwrap();
         let mut out = Vec::new();
         while tx.stream_into(&mut state, 7, &mut out) > 0 {}
-        assert_eq!(reference.samples(), &out[..]);
+        assert_eq!(reference.signal().samples(), &out[..]);
     }
 
     #[test]

@@ -11,11 +11,9 @@
 //! with a large prime factor `p` costs `O(n·p)`; no shipped standard has
 //! a prime factor above 11.
 //!
-//! The split API ([`Fft::forward_split_in`]) calls the engine directly;
-//! every library transform runs through it. The interleaved complex API
-//! ([`Fft::forward`], [`Fft::forward_in`]) deinterleaves, runs the same
-//! engine and interleaves, so at every length it equals the split API bit
-//! for bit.
+//! The transforms run in place over split `re`/`im` slices
+//! ([`Fft::forward_split_in`], [`Fft::inverse_split_in`]), the sample
+//! layout of every caller; [`dft_naive`] is the direct-summation oracle.
 //!
 //! Plans are immutable after construction and `Send + Sync`, so one plan can
 //! serve many worker threads.
@@ -23,16 +21,16 @@
 //! # Example
 //!
 //! ```
-//! use ofdm_dsp::{Complex64, fft::Fft};
+//! use ofdm_dsp::fft::{Fft, FftScratch};
 //!
 //! // DRM mode A's 288-point symbol: radix 4·4·3·3·2.
 //! let fft = Fft::new(288);
-//! let mut v: Vec<Complex64> = (0..288)
-//!     .map(|n| Complex64::cis(2.0 * std::f64::consts::PI * 7.0 * n as f64 / 288.0))
-//!     .collect();
-//! fft.forward(&mut v);
+//! let phase = |n: usize| 2.0 * std::f64::consts::PI * 7.0 * n as f64 / 288.0;
+//! let mut re: Vec<f64> = (0..288).map(|n| phase(n).cos()).collect();
+//! let mut im: Vec<f64> = (0..288).map(|n| phase(n).sin()).collect();
+//! fft.forward_split_in(&mut re, &mut im, &mut FftScratch::new());
 //! // All energy lands in bin 7.
-//! assert!((v[7].abs() - 288.0).abs() < 1e-6);
+//! assert!((re[7].hypot(im[7]) - 288.0).abs() < 1e-6);
 //! ```
 
 use crate::complex::Complex64;
@@ -43,9 +41,10 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 /// An FFT plan for a fixed transform length.
 ///
 /// Construction factors the length and precomputes the twiddle factors of
-/// the one mixed-radix engine that both APIs run.
-/// [`Fft::forward`] computes the unnormalized DFT; [`Fft::inverse`]
-/// includes the `1/N` factor so that `inverse(forward(x)) == x`.
+/// the one mixed-radix engine. [`Fft::forward_split_in`] computes the
+/// unnormalized DFT `X[k] = Σ_n x[n] e^{-i 2π k n / N}`;
+/// [`Fft::inverse_split_in`] includes the `1/N` factor so that the inverse
+/// of the forward transform is the input.
 #[derive(Debug, Clone)]
 pub struct Fft {
     n: usize,
@@ -103,84 +102,12 @@ impl Fft {
             .split_at(h)
     }
 
-    /// In-place forward DFT: `X[k] = Σ_n x[n] e^{-i 2π k n / N}` (no scaling).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buf.len()` differs from the plan length.
-    pub fn forward(&self, buf: &mut [Complex64]) {
-        self.forward_in(buf, &mut FftScratch::new());
-    }
-
-    /// In-place inverse DFT with `1/N` normalization:
-    /// `x[n] = (1/N) Σ_k X[k] e^{+i 2π k n / N}`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buf.len()` differs from the plan length.
-    pub fn inverse(&self, buf: &mut [Complex64]) {
-        self.inverse_in(buf, &mut FftScratch::new());
-    }
-
-    /// In-place forward DFT reusing caller-provided scratch.
-    ///
-    /// Numerically identical to [`Fft::forward`] and to
-    /// [`Fft::forward_split_in`] on the deinterleaved buffer; the only
-    /// difference is that the split working buffers come from `scratch`
-    /// instead of a fresh allocation, so a long-lived scratch makes
-    /// repeated transforms allocation-free after warm-up.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buf.len()` differs from the plan length.
-    pub fn forward_in(&self, buf: &mut [Complex64], scratch: &mut FftScratch) {
-        self.complex_transform(buf, scratch, Direction::Forward);
-    }
-
-    /// In-place inverse DFT (with `1/N` scaling) reusing caller-provided
-    /// scratch. See [`Fft::forward_in`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buf.len()` differs from the plan length.
-    pub fn inverse_in(&self, buf: &mut [Complex64], scratch: &mut FftScratch) {
-        self.complex_transform(buf, scratch, Direction::Inverse);
-        let scale = 1.0 / self.n as f64;
-        for z in buf.iter_mut() {
-            *z = z.scale(scale);
-        }
-    }
-
-    fn complex_transform(&self, buf: &mut [Complex64], scratch: &mut FftScratch, dir: Direction) {
-        assert_eq!(buf.len(), self.n, "buffer length must match plan length");
-        // Deinterleave, run the split engine, interleave: bit for bit what
-        // the split API computes.
-        let FftScratch {
-            src_re,
-            src_im,
-            out,
-            odd,
-        } = scratch;
-        src_re.clear();
-        src_re.extend(buf.iter().map(|z| z.re));
-        src_im.clear();
-        src_im.extend(buf.iter().map(|z| z.im));
-        out.clear();
-        out.resize(2 * self.n, 0.0);
-        let (out_re, out_im) = out.split_at_mut(self.n);
-        self.mixed
-            .transform(src_re, src_im, out_re, out_im, odd, dir);
-        for ((z, &re), &im) in buf.iter_mut().zip(out_re.iter()).zip(out_im.iter()) {
-            *z = Complex64::new(re, im);
-        }
-    }
-
     /// In-place forward DFT over split `re`/`im` component slices.
     ///
     /// Runs the mixed-radix decimation-in-time engine directly on the flat
-    /// `f64` arrays, for every length — the structure-of-arrays hot path.
-    /// [`Fft::forward_in`] wraps this same engine and matches it bit for
-    /// bit.
+    /// `f64` arrays, for every length. The working copies come from
+    /// `scratch`, so a long-lived scratch makes repeated transforms
+    /// allocation-free after warm-up.
     ///
     /// # Panics
     ///
@@ -222,27 +149,12 @@ impl Fft {
             src_re,
             src_im,
             odd,
-            ..
         } = scratch;
         src_re.clear();
         src_re.extend_from_slice(re);
         src_im.clear();
         src_im.extend_from_slice(im);
         self.mixed.transform(src_re, src_im, re, im, odd, dir);
-    }
-
-    /// Convenience: forward transform of a borrowed slice into a new vector.
-    pub fn forward_to_vec(&self, input: &[Complex64]) -> Vec<Complex64> {
-        let mut v = input.to_vec();
-        self.forward(&mut v);
-        v
-    }
-
-    /// Convenience: inverse transform of a borrowed slice into a new vector.
-    pub fn inverse_to_vec(&self, input: &[Complex64]) -> Vec<Complex64> {
-        let mut v = input.to_vec();
-        self.inverse(&mut v);
-        v
     }
 }
 
@@ -642,7 +554,7 @@ impl Pass<'_> {
     }
 }
 
-/// Reusable scratch memory for the `*_in` transforms.
+/// Reusable scratch memory for the `*_split_in` transforms.
 ///
 /// One scratch may serve plans of any length (its buffers grow to the
 /// largest length they have seen and are reused thereafter). It is
@@ -652,9 +564,6 @@ pub struct FftScratch {
     /// Source copies for the out-of-place split recursion.
     src_re: Vec<f64>,
     src_im: Vec<f64>,
-    /// Split output (`re` then `im`) of the complex API's wrapper around
-    /// the split engine.
-    out: Vec<f64>,
     /// Pair sums and differences of the generic odd-prime butterfly.
     odd: Vec<f64>,
 }
@@ -669,7 +578,7 @@ impl FftScratch {
     /// lets tests assert that repeated transforms stop allocating after
     /// warm-up).
     pub fn capacity(&self) -> usize {
-        self.src_re.capacity() + self.src_im.capacity() + self.out.capacity() + self.odd.capacity()
+        self.src_re.capacity() + self.src_im.capacity() + self.odd.capacity()
     }
 }
 
@@ -756,6 +665,28 @@ pub fn dft_naive(input: &[Complex64]) -> Vec<Complex64> {
 pub(crate) mod tests {
     use super::*;
 
+    /// The spectrum of `x` through the split engine, interleaved for the
+    /// [`dft_naive`] comparisons.
+    fn forward(fft: &Fft, x: &[Complex64]) -> Vec<Complex64> {
+        let (mut re, mut im) = parts(x);
+        fft.forward_split_in(&mut re, &mut im, &mut FftScratch::new());
+        joined(&re, &im)
+    }
+
+    /// The inverse of `x` through the split engine (see [`forward`]).
+    fn inverse(fft: &Fft, x: &[Complex64]) -> Vec<Complex64> {
+        let (mut re, mut im) = parts(x);
+        fft.inverse_split_in(&mut re, &mut im, &mut FftScratch::new());
+        joined(&re, &im)
+    }
+
+    fn parts(x: &[Complex64]) -> (Vec<f64>, Vec<f64>) {
+        (
+            x.iter().map(|z| z.re).collect(),
+            x.iter().map(|z| z.im).collect(),
+        )
+    }
+
     fn max_err(a: &[Complex64], b: &[Complex64]) -> f64 {
         a.iter()
             .zip(b)
@@ -767,8 +698,7 @@ pub(crate) mod tests {
         let fft = Fft::new(n);
         let mut v = vec![Complex64::ZERO; n];
         v[0] = Complex64::ONE;
-        fft.forward(&mut v);
-        for z in &v {
+        for z in &forward(&fft, &v) {
             assert!((z.re - 1.0).abs() < 1e-9 && z.im.abs() < 1e-9, "n={n}");
         }
     }
@@ -795,7 +725,7 @@ pub(crate) mod tests {
             .map(|i| Complex64::new((i as f64 * 0.37).sin(), (i as f64 * 0.71).cos()))
             .collect();
         let expect = dft_naive(&input);
-        let got = fft.forward_to_vec(&input);
+        let got = forward(&fft, &input);
         assert!(max_err(&got, &expect) < 1e-9);
     }
 
@@ -826,9 +756,9 @@ pub(crate) mod tests {
                 .map(|i| Complex64::new((i as f64 * 0.11).cos(), (i as f64 * 1.3).sin()))
                 .collect();
             let expect = dft_naive(&input);
-            let got = fft.forward_to_vec(&input);
+            let got = forward(&fft, &input);
             assert!(max_err(&got, &expect) < naive_tolerance(n), "forward n={n}");
-            let back = fft.inverse_to_vec(&expect);
+            let back = inverse(&fft, &expect);
             assert!(max_err(&back, &input) < naive_tolerance(n), "inverse n={n}");
         }
     }
@@ -840,9 +770,7 @@ pub(crate) mod tests {
             let input: Vec<Complex64> = (0..n)
                 .map(|i| Complex64::new((i as f64).sin(), (i as f64 * 2.0).cos()))
                 .collect();
-            let mut v = input.clone();
-            fft.forward(&mut v);
-            fft.inverse(&mut v);
+            let v = inverse(&fft, &forward(&fft, &input));
             assert!(max_err(&v, &input) < 1e-9, "n={n}");
         }
     }
@@ -852,11 +780,10 @@ pub(crate) mod tests {
         let n = 64;
         let fft = Fft::new(n);
         for bin in [1usize, 7, 31, 63] {
-            let mut v: Vec<Complex64> = (0..n)
+            let v: Vec<Complex64> = (0..n)
                 .map(|t| Complex64::cis(2.0 * PI * (bin * t) as f64 / n as f64))
                 .collect();
-            fft.forward(&mut v);
-            for (k, z) in v.iter().enumerate() {
+            for (k, z) in forward(&fft, &v).iter().enumerate() {
                 let expect = if k == bin { n as f64 } else { 0.0 };
                 assert!((z.abs() - expect).abs() < 1e-8, "bin={bin} k={k}");
             }
@@ -871,7 +798,7 @@ pub(crate) mod tests {
             .map(|i| Complex64::new((i as f64 * 0.2).sin(), (i as f64 * 0.9).cos()))
             .collect();
         let time_energy: f64 = input.iter().map(|z| z.norm_sqr()).sum();
-        let freq = fft.forward_to_vec(&input);
+        let freq = forward(&fft, &input);
         let freq_energy: f64 = freq.iter().map(|z| z.norm_sqr()).sum::<f64>() / n as f64;
         assert!((time_energy - freq_energy).abs() < 1e-6);
     }
@@ -883,19 +810,20 @@ pub(crate) mod tests {
         let a: Vec<Complex64> = (0..n).map(|i| Complex64::new(i as f64, 0.0)).collect();
         let b: Vec<Complex64> = (0..n).map(|i| Complex64::new(0.0, -(i as f64))).collect();
         let sum: Vec<Complex64> = a.iter().zip(&b).map(|(x, y)| *x + *y).collect();
-        let fa = fft.forward_to_vec(&a);
-        let fb = fft.forward_to_vec(&b);
-        let fsum = fft.forward_to_vec(&sum);
+        let fa = forward(&fft, &a);
+        let fb = forward(&fft, &b);
+        let fsum = forward(&fft, &sum);
         let combined: Vec<Complex64> = fa.iter().zip(&fb).map(|(x, y)| *x + *y).collect();
         assert!(max_err(&fsum, &combined) < 1e-8);
     }
 
     #[test]
-    #[should_panic(expected = "buffer length")]
+    #[should_panic(expected = "re length must match")]
     fn wrong_length_panics() {
         let fft = Fft::new(8);
-        let mut v = vec![Complex64::ZERO; 4];
-        fft.forward(&mut v);
+        let mut re = vec![0.0; 4];
+        let mut im = vec![0.0; 4];
+        fft.forward_split_in(&mut re, &mut im, &mut FftScratch::new());
     }
 
     #[test]
@@ -914,21 +842,20 @@ pub(crate) mod tests {
     #[test]
     fn scratch_path_is_bit_identical() {
         // One scratch reused across lengths and both directions must
-        // reproduce the allocating path exactly (not just approximately).
+        // reproduce a fresh scratch exactly (not just approximately).
         let mut scratch = FftScratch::new();
         for n in [8usize, 64, 36, 112, 176, 288, 2310] {
             let fft = Fft::new(n);
             let input: Vec<Complex64> = (0..n)
                 .map(|i| Complex64::new((i as f64 * 0.13).sin(), (i as f64 * 0.29).cos()))
                 .collect();
-            let mut alloc = input.clone();
-            let mut reuse = input.clone();
-            fft.forward(&mut alloc);
-            fft.forward_in(&mut reuse, &mut scratch);
-            assert_eq!(alloc, reuse, "forward n={n}");
-            fft.inverse(&mut alloc);
-            fft.inverse_in(&mut reuse, &mut scratch);
-            assert_eq!(alloc, reuse, "inverse n={n}");
+            let alloc = forward(&fft, &input);
+            let (mut re, mut im) = parts(&input);
+            fft.forward_split_in(&mut re, &mut im, &mut scratch);
+            assert_eq!(alloc, joined(&re, &im), "forward n={n}");
+            let alloc = inverse(&fft, &alloc);
+            fft.inverse_split_in(&mut re, &mut im, &mut scratch);
+            assert_eq!(alloc, joined(&re, &im), "inverse n={n}");
         }
     }
 
@@ -969,26 +896,6 @@ pub(crate) mod tests {
                 max_err(&joined(&re, &im), &input) < naive_tolerance(n),
                 "inverse n={n}"
             );
-        }
-    }
-
-    #[test]
-    fn interleaved_api_is_bit_identical_to_split_at_every_length() {
-        // The complex API wraps the one split engine at every length, the
-        // powers of two (1 … 8192) included: exactly the same arithmetic,
-        // bit for bit.
-        let mut scratch = FftScratch::new();
-        let pow2 = (0..=13).map(|log2| 1usize << log2);
-        for n in pow2.chain(CHECK_SIZES) {
-            let fft = Fft::new(n);
-            let (mut re, mut im) = split_input(n);
-            let mut complex = joined(&re, &im);
-            fft.forward_in(&mut complex, &mut scratch);
-            fft.forward_split_in(&mut re, &mut im, &mut scratch);
-            assert_eq!(joined(&re, &im), complex, "forward n={n}");
-            fft.inverse_in(&mut complex, &mut scratch);
-            fft.inverse_split_in(&mut re, &mut im, &mut scratch);
-            assert_eq!(joined(&re, &im), complex, "inverse n={n}");
         }
     }
 
@@ -1110,25 +1017,21 @@ pub(crate) mod tests {
 
     #[test]
     fn scratch_stops_allocating_after_warmup() {
-        // One scratch serving several plans through both APIs grows on the
-        // first pass (to the largest length and the widest odd radix) and
-        // never again.
+        // One scratch serving several plans in both directions grows on
+        // the first pass (to the largest length and the widest odd radix)
+        // and never again.
         let mut scratch = FftScratch::new();
         let plans: Vec<Fft> = [288, 2310, 176, 64].into_iter().map(Fft::new).collect();
         let pass = |scratch: &mut FftScratch| {
             for fft in &plans {
-                let n = fft.len();
-                let mut v = vec![Complex64::ONE; n];
-                fft.forward_in(&mut v, scratch);
-                fft.inverse_in(&mut v, scratch);
-                let (mut re, mut im) = split_input(n);
+                let (mut re, mut im) = split_input(fft.len());
                 fft.forward_split_in(&mut re, &mut im, scratch);
                 fft.inverse_split_in(&mut re, &mut im, scratch);
             }
         };
         pass(&mut scratch);
         let warm = scratch.capacity();
-        assert!(warm >= 4 * 2310, "split sources and wrapper output");
+        assert!(warm >= 2 * 2310, "split sources");
         for _ in 0..4 {
             pass(&mut scratch);
         }
@@ -1181,8 +1084,7 @@ pub(crate) mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         let mut v = vec![Complex64::ZERO; 40];
         v[0] = Complex64::ONE;
-        a.forward(&mut v);
-        for z in &v {
+        for z in &forward(&a, &v) {
             assert!((z.re - 1.0).abs() < 1e-9 && z.im.abs() < 1e-9);
         }
     }

@@ -1,12 +1,11 @@
 //! FIR filter design and streaming filtering.
 //!
 //! Provides windowed-sinc lowpass design (Kaiser or fixed windows) and a
-//! streaming [`FirFilter`] over complex samples. Used by the RF simulator's
-//! baseband/channel filters and by the rational resampler.
+//! streaming [`FirFilter`] over split `re`/`im` samples. Used by the RF
+//! simulator's baseband/channel filters and by the rational resampler.
 
 use crate::complex::Complex64;
 use crate::window::Window;
-use std::collections::VecDeque;
 use std::f64::consts::PI;
 
 /// Designs a linear-phase lowpass FIR via the windowed-sinc method.
@@ -86,14 +85,89 @@ pub fn kaiser_lowpass(cutoff: f64, transition: f64, atten_db: f64) -> Vec<f64> {
     lowpass(taps, cutoff, Window::Kaiser(beta))
 }
 
-/// A streaming FIR filter over complex samples with real coefficients.
+/// A split `re`/`im` delay line for block filtering: the history of
+/// [`FirFilter`], the resampler and the RF simulator's multipath channel.
+///
+/// Between blocks it holds the last `keep` input samples, oldest first
+/// (zeros before the first block). [`DelayLine::load`] appends a block
+/// behind them, so the `keep + 1`-sample window ending at each new sample
+/// is one contiguous slice per component; [`DelayLine::carry`] then keeps
+/// the block's tail for the next one. A block shorter than `keep` carries
+/// part of the old history along.
+#[derive(Debug, Clone)]
+pub struct DelayLine {
+    re: Vec<f64>,
+    im: Vec<f64>,
+    keep: usize,
+}
+
+impl DelayLine {
+    /// A zeroed delay line carrying `keep` samples between blocks.
+    pub fn new(keep: usize) -> Self {
+        DelayLine {
+            re: vec![0.0; keep],
+            im: vec![0.0; keep],
+            keep,
+        }
+    }
+
+    /// Appends a block behind the carried samples.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the component lengths differ.
+    pub fn load(&mut self, re: &[f64], im: &[f64]) {
+        assert_eq!(re.len(), im.len(), "component length mismatch");
+        self.re.extend_from_slice(re);
+        self.im.extend_from_slice(im);
+    }
+
+    /// One window per loaded sample: the `keep + 1` samples ending at it,
+    /// oldest first.
+    pub fn windows(&self) -> impl Iterator<Item = (&[f64], &[f64])> {
+        self.re
+            .windows(self.keep + 1)
+            .zip(self.im.windows(self.keep + 1))
+    }
+
+    /// Drops all but the last `keep` samples: the carry into the next
+    /// block.
+    pub fn carry(&mut self) {
+        let spent = self.re.len() - self.keep;
+        self.re.drain(..spent);
+        self.im.drain(..spent);
+    }
+
+    /// Zeroes the carried samples.
+    pub fn reset(&mut self) {
+        for v in [&mut self.re, &mut self.im] {
+            v.clear();
+            v.resize(self.keep, 0.0);
+        }
+    }
+}
+
+/// `Σ_k c[k]·x[newest − k]` per component over one window (oldest first),
+/// accumulated from zero in tap order.
+#[inline]
+pub(crate) fn dot(coeffs: &[f64], re: &[f64], im: &[f64]) -> (f64, f64) {
+    let (mut acc_re, mut acc_im) = (0.0, 0.0);
+    for ((&c, &r), &i) in coeffs.iter().zip(re.iter().rev()).zip(im.iter().rev()) {
+        acc_re += r * c;
+        acc_im += i * c;
+    }
+    (acc_re, acc_im)
+}
+
+/// A streaming FIR filter over split `re`/`im` samples with real
+/// coefficients.
 ///
 /// Holds its own delay line, so blocks can be fed incrementally; the filter
 /// is causal with group delay `(taps-1)/2` samples for symmetric designs.
 #[derive(Debug, Clone)]
 pub struct FirFilter {
     coeffs: Vec<f64>,
-    delay: VecDeque<Complex64>,
+    delay: DelayLine,
 }
 
 impl FirFilter {
@@ -104,10 +178,10 @@ impl FirFilter {
     /// Panics if `coeffs` is empty.
     pub fn new(coeffs: Vec<f64>) -> Self {
         assert!(!coeffs.is_empty(), "coefficients must be nonempty");
-        let n = coeffs.len();
+        let keep = coeffs.len() - 1;
         FirFilter {
             coeffs,
-            delay: VecDeque::from(vec![Complex64::ZERO; n]),
+            delay: DelayLine::new(keep),
         }
     }
 
@@ -131,31 +205,33 @@ impl FirFilter {
         (self.coeffs.len() - 1) / 2
     }
 
-    /// Processes one sample.
-    #[inline]
-    pub fn push(&mut self, x: Complex64) -> Complex64 {
-        self.delay.pop_back();
-        self.delay.push_front(x);
-        let mut acc = Complex64::ZERO;
-        for (c, z) in self.coeffs.iter().zip(self.delay.iter()) {
-            acc += z.scale(*c);
+    /// Filters the block `(re, im)` into `(out_re, out_im)` (cleared
+    /// first); the delay line carries over to the next block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input component lengths differ.
+    pub fn process_split(
+        &mut self,
+        re: &[f64],
+        im: &[f64],
+        out_re: &mut Vec<f64>,
+        out_im: &mut Vec<f64>,
+    ) {
+        self.delay.load(re, im);
+        out_re.clear();
+        out_im.clear();
+        for (wr, wi) in self.delay.windows() {
+            let (y_re, y_im) = dot(&self.coeffs, wr, wi);
+            out_re.push(y_re);
+            out_im.push(y_im);
         }
-        acc
-    }
-
-    /// Processes a block into a reused output buffer (cleared first); the
-    /// delay line carries over to the next block.
-    pub fn process_into(&mut self, input: &[Complex64], out: &mut Vec<Complex64>) {
-        out.clear();
-        out.reserve(input.len());
-        out.extend(input.iter().map(|&x| self.push(x)));
+        self.delay.carry();
     }
 
     /// Clears the internal delay line.
     pub fn reset(&mut self) {
-        for z in self.delay.iter_mut() {
-            *z = Complex64::ZERO;
-        }
+        self.delay.reset();
     }
 }
 
@@ -214,33 +290,34 @@ mod tests {
     fn filter_impulse_reproduces_coeffs() {
         let h = vec![0.25, 0.5, 0.25];
         let mut f = FirFilter::new(h.clone());
-        let mut input = vec![Complex64::ZERO; 5];
-        input[0] = Complex64::ONE;
-        let mut out = Vec::new();
-        f.process_into(&input, &mut out);
+        let mut input = vec![0.0; 5];
+        input[0] = 1.0;
+        let (mut out, mut out_im) = (Vec::new(), Vec::new());
+        f.process_split(&input, &[0.0; 5], &mut out, &mut out_im);
         for (i, &c) in h.iter().enumerate() {
-            assert!((out[i].re - c).abs() < 1e-15);
+            assert!((out[i] - c).abs() < 1e-15);
         }
-        assert!(out[3].abs() < 1e-15);
+        assert!(out[3].hypot(out_im[3]) < 1e-15);
     }
 
     #[test]
     fn filter_dc_passthrough() {
         let h = lowpass(21, 0.25, Window::Hamming);
         let mut f = FirFilter::new(h);
-        let mut out = Vec::new();
-        f.process_into(&[Complex64::ONE; 100], &mut out);
+        let (mut out, mut out_im) = (Vec::new(), Vec::new());
+        f.process_split(&[1.0; 100], &[0.0; 100], &mut out, &mut out_im);
         // After the transient, a DC input passes with unit gain.
-        assert!((out[99].re - 1.0).abs() < 1e-9);
+        assert!((out[99] - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn reset_clears_state() {
         let mut f = FirFilter::new(vec![1.0, 1.0]);
-        f.push(Complex64::ONE);
+        let (mut re, mut im) = (Vec::new(), Vec::new());
+        f.process_split(&[1.0], &[1.0], &mut re, &mut im);
         f.reset();
-        let y = f.push(Complex64::ZERO);
-        assert!(y.abs() < 1e-15);
+        f.process_split(&[0.0], &[0.0], &mut re, &mut im);
+        assert!(re[0].hypot(im[0]) < 1e-15);
     }
 
     #[test]

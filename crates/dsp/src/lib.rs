@@ -11,14 +11,15 @@
 //! # Example
 //!
 //! ```
-//! use ofdm_dsp::{Complex64, fft::Fft};
+//! use ofdm_dsp::fft::{Fft, FftScratch};
 //!
+//! // Samples are split into real and imaginary slices.
 //! let fft = Fft::new(64);
-//! let mut buf = vec![Complex64::ZERO; 64];
-//! buf[1] = Complex64::new(1.0, 0.0); // a single complex tone
-//! fft.inverse(&mut buf);
+//! let (mut re, mut im) = (vec![0.0; 64], vec![0.0; 64]);
+//! re[1] = 1.0; // a single complex tone
+//! fft.inverse_split_in(&mut re, &mut im, &mut FftScratch::new());
 //! // Time-domain samples now hold one cycle of a complex exponential.
-//! assert!((buf[0].re - 1.0 / 64.0).abs() < 1e-12);
+//! assert!((re[0] - 1.0 / 64.0).abs() < 1e-12);
 //! ```
 
 pub mod bits;

@@ -5,8 +5,7 @@
 //! [`Resampler`] changes the rate by any rational factor L/M using a
 //! polyphase windowed-sinc interpolator.
 
-use crate::complex::Complex64;
-use crate::fir;
+use crate::fir::{self, DelayLine};
 use crate::window::Window;
 
 /// Greatest common divisor (Euclid).
@@ -18,7 +17,7 @@ pub fn gcd(a: usize, b: usize) -> usize {
     }
 }
 
-/// A rational L/M resampler over complex samples.
+/// A rational L/M resampler over split `re`/`im` samples.
 ///
 /// Internally upsamples by `L`, filters with an anti-imaging/anti-aliasing
 /// lowpass, and decimates by `M`, implemented in polyphase form so only the
@@ -27,11 +26,12 @@ pub fn gcd(a: usize, b: usize) -> usize {
 /// # Example
 ///
 /// ```
-/// use ofdm_dsp::{Complex64, resample::Resampler};
+/// use ofdm_dsp::resample::Resampler;
 ///
 /// let mut rs = Resampler::new(4, 1, 8); // 4x interpolation
-/// let out = rs.process(&vec![Complex64::ONE; 64]);
-/// assert_eq!(out.len(), 256);
+/// let (mut re, mut im) = (Vec::new(), Vec::new());
+/// rs.process_split(&[1.0; 64], &[0.0; 64], &mut re, &mut im);
+/// assert_eq!(re.len(), 256);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Resampler {
@@ -39,8 +39,8 @@ pub struct Resampler {
     down: usize,
     /// Polyphase branches: `branch[p][k] = h[k*L + p] * L`.
     branches: Vec<Vec<f64>>,
-    /// History of input samples, most recent first.
-    history: Vec<Complex64>,
+    /// The last `taps_per_branch - 1` input samples.
+    history: DelayLine,
     /// Upsampled-domain phase accumulator (0..up*len granularity).
     phase: usize,
 }
@@ -64,7 +64,7 @@ impl Resampler {
                 up,
                 down,
                 branches: vec![vec![1.0]],
-                history: vec![Complex64::ZERO],
+                history: DelayLine::new(0),
                 phase: 0,
             };
         }
@@ -81,7 +81,7 @@ impl Resampler {
             up,
             down,
             branches,
-            history: vec![Complex64::ZERO; taps_per_branch],
+            history: DelayLine::new(taps_per_branch - 1),
             phase: 0,
         }
     }
@@ -96,36 +96,40 @@ impl Resampler {
         self.down
     }
 
-    /// Processes a block, returning roughly `input.len() * L / M` samples.
-    pub fn process(&mut self, input: &[Complex64]) -> Vec<Complex64> {
-        let mut out = Vec::with_capacity(input.len() * self.up / self.down + 2);
-        for &x in input {
-            // Shift history (most recent at index 0).
-            for i in (1..self.history.len()).rev() {
-                self.history[i] = self.history[i - 1];
-            }
-            self.history[0] = x;
+    /// Resamples the block `(re, im)` into `(out_re, out_im)` (cleared
+    /// first): roughly `re.len() * L / M` samples. The delay line and the
+    /// phase carry over to the next block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input component lengths differ.
+    pub fn process_split(
+        &mut self,
+        re: &[f64],
+        im: &[f64],
+        out_re: &mut Vec<f64>,
+        out_im: &mut Vec<f64>,
+    ) {
+        self.history.load(re, im);
+        out_re.clear();
+        out_im.clear();
+        for (wr, wi) in self.history.windows() {
             // Emit every output whose upsampled-domain index falls within
             // this input sample's span of `up` positions.
             while self.phase < self.up {
-                let branch = &self.branches[self.phase];
-                let mut acc = Complex64::ZERO;
-                for (k, &c) in branch.iter().enumerate() {
-                    acc += self.history[k].scale(c);
-                }
-                out.push(acc);
+                let (y_re, y_im) = fir::dot(&self.branches[self.phase], wr, wi);
+                out_re.push(y_re);
+                out_im.push(y_im);
                 self.phase += self.down;
             }
             self.phase -= self.up;
         }
-        out
+        self.history.carry();
     }
 
     /// Clears the delay line and phase.
     pub fn reset(&mut self) {
-        for z in self.history.iter_mut() {
-            *z = Complex64::ZERO;
-        }
+        self.history.reset();
         self.phase = 0;
     }
 }
@@ -133,8 +137,22 @@ impl Resampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::complex::Complex64;
     use crate::stats::mean_power;
     use std::f64::consts::PI;
+
+    /// Runs `x` through `rs` in split form and interleaves the output.
+    fn run(rs: &mut Resampler, x: &[Complex64]) -> Vec<Complex64> {
+        let re: Vec<f64> = x.iter().map(|z| z.re).collect();
+        let im: Vec<f64> = x.iter().map(|z| z.im).collect();
+        let (mut out_re, mut out_im) = (Vec::new(), Vec::new());
+        rs.process_split(&re, &im, &mut out_re, &mut out_im);
+        out_re
+            .iter()
+            .zip(&out_im)
+            .map(|(&r, &i)| Complex64::new(r, i))
+            .collect()
+    }
 
     #[test]
     fn gcd_basic() {
@@ -150,7 +168,7 @@ mod tests {
         assert_eq!(rs.up(), 1);
         assert_eq!(rs.down(), 1);
         let x: Vec<Complex64> = (0..10).map(|i| Complex64::new(i as f64, 0.0)).collect();
-        let y = rs.process(&x);
+        let y = run(&mut rs, &x);
         assert_eq!(y.len(), x.len());
         for (a, b) in y.iter().zip(&x) {
             assert!((*a - *b).abs() < 1e-12);
@@ -160,28 +178,28 @@ mod tests {
     #[test]
     fn upsample_output_count() {
         let mut rs = Resampler::new(4, 1, 8);
-        let y = rs.process(&vec![Complex64::ONE; 100]);
+        let y = run(&mut rs, &vec![Complex64::ONE; 100]);
         assert_eq!(y.len(), 400);
     }
 
     #[test]
     fn downsample_output_count() {
         let mut rs = Resampler::new(1, 4, 8);
-        let y = rs.process(&vec![Complex64::ONE; 100]);
+        let y = run(&mut rs, &vec![Complex64::ONE; 100]);
         assert_eq!(y.len(), 25);
     }
 
     #[test]
     fn rational_output_count() {
         let mut rs = Resampler::new(3, 2, 8);
-        let y = rs.process(&vec![Complex64::ONE; 200]);
+        let y = run(&mut rs, &vec![Complex64::ONE; 200]);
         assert_eq!(y.len(), 300);
     }
 
     #[test]
     fn dc_gain_preserved() {
         let mut rs = Resampler::new(4, 1, 16);
-        let y = rs.process(&vec![Complex64::ONE; 256]);
+        let y = run(&mut rs, &vec![Complex64::ONE; 256]);
         // After the filter transient, DC level is 1.
         let tail = &y[y.len() - 64..];
         for z in tail {
@@ -198,7 +216,7 @@ mod tests {
             .map(|i| Complex64::cis(2.0 * PI * 0.05 * i as f64))
             .collect();
         let mut rs = Resampler::new(4, 1, 16);
-        let y = rs.process(&x);
+        let y = run(&mut rs, &x);
         let steady = &y[512..];
         let p = mean_power(steady);
         assert!((p - 1.0).abs() < 0.05, "tone power {p}");
@@ -210,9 +228,9 @@ mod tests {
     #[test]
     fn reset_restores_initial_state() {
         let mut rs = Resampler::new(2, 1, 8);
-        let a = rs.process(&vec![Complex64::ONE; 16]);
+        let a = run(&mut rs, &vec![Complex64::ONE; 16]);
         rs.reset();
-        let b = rs.process(&vec![Complex64::ONE; 16]);
+        let b = run(&mut rs, &vec![Complex64::ONE; 16]);
         for (x, y) in a.iter().zip(&b) {
             assert!((*x - *y).abs() < 1e-15);
         }

@@ -1,4 +1,4 @@
-//! Signal statistics: power, RMS, dB conversions, PAPR and CCDF.
+//! Signal statistics: power, dB conversions, PAPR and CCDF.
 
 use crate::complex::Complex64;
 
@@ -27,7 +27,8 @@ pub fn mean_power_split(re: &[f64], im: &[f64]) -> f64 {
     crate::kernels::sum_power_split(re, im) / re.len() as f64
 }
 
-/// [`peak_power`] over split `re`/`im` component slices.
+/// Peak instantaneous power, `max |x[n]|²`, over split `re`/`im`
+/// component slices.
 ///
 /// # Panics
 ///
@@ -40,7 +41,10 @@ pub fn peak_power_split(re: &[f64], im: &[f64]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// [`papr_db`] over split `re`/`im` component slices.
+/// Peak-to-average power ratio in dB over split `re`/`im` component
+/// slices.
+///
+/// Returns `f64::NEG_INFINITY` for an empty or all-zero block.
 ///
 /// # Panics
 ///
@@ -51,27 +55,6 @@ pub fn papr_db_split(re: &[f64], im: &[f64]) -> f64 {
         return f64::NEG_INFINITY;
     }
     ratio_to_db(peak_power_split(re, im) / avg)
-}
-
-/// Root-mean-square magnitude of a complex sample block.
-pub fn rms(x: &[Complex64]) -> f64 {
-    mean_power(x).sqrt()
-}
-
-/// Peak instantaneous power, `max |x[n]|²`.
-pub fn peak_power(x: &[Complex64]) -> f64 {
-    x.iter().map(|z| z.norm_sqr()).fold(0.0, f64::max)
-}
-
-/// Peak-to-average power ratio in dB.
-///
-/// Returns `f64::NEG_INFINITY` for an empty or all-zero block.
-pub fn papr_db(x: &[Complex64]) -> f64 {
-    let avg = mean_power(x);
-    if avg == 0.0 {
-        return f64::NEG_INFINITY;
-    }
-    ratio_to_db(peak_power(x) / avg)
 }
 
 /// Converts a power ratio to decibels, `10 log10(r)`.
@@ -96,47 +79,24 @@ pub fn amplitude_to_db(r: f64) -> f64 {
 ///
 /// For each threshold (in dB above average power) returns the fraction of
 /// samples whose instantaneous power exceeds it — the standard OFDM PAPR
-/// CCDF curve.
-pub fn power_ccdf(x: &[Complex64], thresholds_db: &[f64]) -> Vec<f64> {
-    let avg = mean_power(x);
-    if avg == 0.0 || x.is_empty() {
+/// CCDF curve. The samples are split `re`/`im` component slices.
+///
+/// # Panics
+///
+/// Panics if the component slices have different lengths.
+pub fn power_ccdf(re: &[f64], im: &[f64], thresholds_db: &[f64]) -> Vec<f64> {
+    let avg = mean_power_split(re, im);
+    if avg == 0.0 || re.is_empty() {
         return vec![0.0; thresholds_db.len()];
     }
     thresholds_db
         .iter()
         .map(|&t| {
             let lim = avg * db_to_ratio(t);
-            x.iter().filter(|z| z.norm_sqr() > lim).count() as f64 / x.len() as f64
+            let above = re.iter().zip(im).filter(|&(&r, &i)| r * r + i * i > lim);
+            above.count() as f64 / re.len() as f64
         })
         .collect()
-}
-
-/// Error-vector magnitude (RMS, as a fraction of reference RMS) between a
-/// measured constellation and its reference points.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn evm_rms(measured: &[Complex64], reference: &[Complex64]) -> f64 {
-    assert_eq!(measured.len(), reference.len(), "length mismatch");
-    if measured.is_empty() {
-        return 0.0;
-    }
-    let err: f64 = measured
-        .iter()
-        .zip(reference)
-        .map(|(m, r)| (*m - *r).norm_sqr())
-        .sum();
-    let refpow: f64 = reference.iter().map(|z| z.norm_sqr()).sum();
-    if refpow == 0.0 {
-        return f64::INFINITY;
-    }
-    (err / refpow).sqrt()
-}
-
-/// EVM expressed in dB: `20 log10(evm_rms)`.
-pub fn evm_db(measured: &[Complex64], reference: &[Complex64]) -> f64 {
-    amplitude_to_db(evm_rms(measured, reference))
 }
 
 #[cfg(test)]
@@ -146,17 +106,16 @@ mod tests {
     #[test]
     fn power_of_unit_circle() {
         let x: Vec<Complex64> = (0..100).map(|i| Complex64::cis(i as f64 * 0.1)).collect();
+        let re: Vec<f64> = x.iter().map(|z| z.re).collect();
+        let im: Vec<f64> = x.iter().map(|z| z.im).collect();
         assert!((mean_power(&x) - 1.0).abs() < 1e-12);
-        assert!((rms(&x) - 1.0).abs() < 1e-12);
-        assert!((peak_power(&x) - 1.0).abs() < 1e-12);
-        assert!(papr_db(&x).abs() < 1e-9);
+        assert!((peak_power_split(&re, &im) - 1.0).abs() < 1e-12);
+        assert!(papr_db_split(&re, &im).abs() < 1e-9);
     }
 
     #[test]
     fn empty_slices() {
         assert_eq!(mean_power(&[]), 0.0);
-        assert_eq!(rms(&[]), 0.0);
-        assert_eq!(papr_db(&[]), f64::NEG_INFINITY);
         assert_eq!(mean_power_split(&[], &[]), 0.0);
         assert_eq!(papr_db_split(&[], &[]), f64::NEG_INFINITY);
     }
@@ -169,8 +128,6 @@ mod tests {
         let re: Vec<f64> = x.iter().map(|z| z.re).collect();
         let im: Vec<f64> = x.iter().map(|z| z.im).collect();
         assert_eq!(mean_power_split(&re, &im), mean_power(&x));
-        assert_eq!(peak_power_split(&re, &im), peak_power(&x));
-        assert_eq!(papr_db_split(&re, &im), papr_db(&x));
     }
 
     #[test]
@@ -182,13 +139,8 @@ mod tests {
     #[test]
     fn papr_two_level() {
         // One sample at amplitude 2, three at amplitude 0 → peak 4, avg 1 → 6.02 dB.
-        let x = vec![
-            Complex64::new(2.0, 0.0),
-            Complex64::ZERO,
-            Complex64::ZERO,
-            Complex64::ZERO,
-        ];
-        assert!((papr_db(&x) - ratio_to_db(4.0)).abs() < 1e-12);
+        let re = [2.0, 0.0, 0.0, 0.0];
+        assert!((papr_db_split(&re, &[0.0; 4]) - ratio_to_db(4.0)).abs() < 1e-12);
     }
 
     #[test]
@@ -201,35 +153,14 @@ mod tests {
 
     #[test]
     fn ccdf_monotone_nonincreasing() {
-        let x: Vec<Complex64> = (0..1000)
-            .map(|i| Complex64::new(((i * 37) % 101) as f64 / 50.0 - 1.0, 0.0))
+        let re: Vec<f64> = (0..1000)
+            .map(|i| ((i * 37) % 101) as f64 / 50.0 - 1.0)
             .collect();
         let th: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let ccdf = power_ccdf(&x, &th);
+        let ccdf = power_ccdf(&re, &[0.0; 1000], &th);
         for w in ccdf.windows(2) {
             assert!(w[0] >= w[1]);
         }
         assert!(ccdf[0] <= 1.0 && *ccdf.last().unwrap() >= 0.0);
-    }
-
-    #[test]
-    fn evm_zero_for_identical() {
-        let pts = vec![Complex64::new(1.0, 1.0), Complex64::new(-1.0, 1.0)];
-        assert!(evm_rms(&pts, &pts) < 1e-15);
-    }
-
-    #[test]
-    fn evm_known_offset() {
-        // Unit reference, constant error 0.1 → EVM = 0.1 → -20 dB.
-        let refs = vec![Complex64::ONE; 64];
-        let meas: Vec<Complex64> = refs.iter().map(|z| *z + Complex64::new(0.1, 0.0)).collect();
-        assert!((evm_rms(&meas, &refs) - 0.1).abs() < 1e-12);
-        assert!((evm_db(&meas, &refs) + 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn evm_length_mismatch_panics() {
-        let _ = evm_rms(&[Complex64::ONE], &[]);
     }
 }

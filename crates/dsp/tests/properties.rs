@@ -3,7 +3,7 @@
 //! assumes.
 
 use ofdm_dsp::bits::{binary_to_gray, gray_to_binary, pack_msb_first, unpack_msb_first, Lfsr};
-use ofdm_dsp::fft::Fft;
+use ofdm_dsp::fft::{Fft, FftScratch};
 use ofdm_dsp::fir::{freq_response, lowpass, FirFilter};
 use ofdm_dsp::nco::Nco;
 use ofdm_dsp::resample::Resampler;
@@ -24,6 +24,24 @@ fn signal_from_seed(n: usize, seed: u64) -> Vec<Complex64> {
         .collect()
 }
 
+/// `x` as split `(re, im)` vectors, the layout of the DSP entry points.
+fn split(x: &[Complex64]) -> (Vec<f64>, Vec<f64>) {
+    (
+        x.iter().map(|z| z.re).collect(),
+        x.iter().map(|z| z.im).collect(),
+    )
+}
+
+/// The spectrum of `x` through the split FFT, interleaved.
+fn spectrum(fft: &Fft, x: &[Complex64]) -> Vec<Complex64> {
+    let (mut re, mut im) = split(x);
+    fft.forward_split_in(&mut re, &mut im, &mut FftScratch::new());
+    re.iter()
+        .zip(&im)
+        .map(|(&r, &i)| Complex64::new(r, i))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -33,7 +51,7 @@ proptest! {
     fn fft_parseval(n in 2usize..300, seed in any::<u64>()) {
         let x = signal_from_seed(n, seed);
         let time_energy: f64 = x.iter().map(|z| z.norm_sqr()).sum();
-        let freq = Fft::new(n).forward_to_vec(&x);
+        let freq = spectrum(&Fft::new(n), &x);
         let freq_energy: f64 = freq.iter().map(|z| z.norm_sqr()).sum::<f64>() / n as f64;
         prop_assert!((time_energy - freq_energy).abs() < 1e-6 * time_energy.max(1.0));
     }
@@ -47,8 +65,8 @@ proptest! {
         let mut shifted = x.clone();
         shifted.rotate_left(s);
         let fft = Fft::new(n);
-        let a = fft.forward_to_vec(&x);
-        let b = fft.forward_to_vec(&shifted);
+        let a = spectrum(&fft, &x);
+        let b = spectrum(&fft, &shifted);
         for (za, zb) in a.iter().zip(&b) {
             prop_assert!((za.abs() - zb.abs()).abs() < 1e-7);
         }
@@ -63,11 +81,13 @@ proptest! {
         let scaled: Vec<Complex64> = x.iter().map(|z| z.scale(scale)).collect();
         let mut f1 = FirFilter::new(h.clone());
         let mut f2 = FirFilter::new(h);
-        let (mut y1, mut y2) = (Vec::new(), Vec::new());
-        f1.process_into(&x, &mut y1);
-        f2.process_into(&scaled, &mut y2);
-        for (a, b) in y1.iter().zip(&y2) {
-            prop_assert!((a.scale(scale) - *b).abs() < 1e-9);
+        let ((xr, xi), (sr, si)) = (split(&x), split(&scaled));
+        let (mut y1r, mut y1i, mut y2r, mut y2i) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        f1.process_split(&xr, &xi, &mut y1r, &mut y1i);
+        f2.process_split(&sr, &si, &mut y2r, &mut y2i);
+        for k in 0..y1r.len() {
+            let (a, b) = (Complex64::new(y1r[k], y1i[k]), Complex64::new(y2r[k], y2i[k]));
+            prop_assert!((a.scale(scale) - b).abs() < 1e-9);
         }
     }
 
@@ -97,10 +117,12 @@ proptest! {
         let mut rs = Resampler::new(up, down, 8);
         let mut total_in = 0usize;
         let mut total_out = 0usize;
+        let (mut out_re, mut out_im) = (Vec::new(), Vec::new());
         for b in 0..blocks {
-            let x = signal_from_seed(50 + b * 13, seed ^ b as u64);
-            total_in += x.len();
-            total_out += rs.process(&x).len();
+            let (re, im) = split(&signal_from_seed(50 + b * 13, seed ^ b as u64));
+            total_in += re.len();
+            rs.process_split(&re, &im, &mut out_re, &mut out_im);
+            total_out += out_re.len();
         }
         // Streaming property: cumulative output within one sample of the
         // exact rational count.
@@ -163,9 +185,9 @@ proptest! {
     /// non-increasing in the threshold.
     #[test]
     fn ccdf_is_survival_function(n in 16usize..500, seed in any::<u64>()) {
-        let x = signal_from_seed(n, seed);
+        let (re, im) = split(&signal_from_seed(n, seed));
         let thresholds: Vec<f64> = (0..12).map(|i| i as f64).collect();
-        let ccdf = stats::power_ccdf(&x, &thresholds);
+        let ccdf = stats::power_ccdf(&re, &im, &thresholds);
         for w in ccdf.windows(2) {
             prop_assert!(w[1] <= w[0] + 1e-12);
         }
@@ -177,9 +199,10 @@ proptest! {
     /// PAPR is nonnegative and zero exactly for constant-envelope signals.
     #[test]
     fn papr_bounds(seed in any::<u64>(), n in 8usize..200) {
-        let x = signal_from_seed(n, seed);
-        prop_assert!(stats::papr_db(&x) >= -1e-9);
+        let (re, im) = split(&signal_from_seed(n, seed));
+        prop_assert!(stats::papr_db_split(&re, &im) >= -1e-9);
         let constant: Vec<Complex64> = (0..n).map(|i| Complex64::cis(i as f64)).collect();
-        prop_assert!(stats::papr_db(&constant).abs() < 1e-9);
+        let (re, im) = split(&constant);
+        prop_assert!(stats::papr_db_split(&re, &im).abs() < 1e-9);
     }
 }

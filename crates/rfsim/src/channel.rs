@@ -13,7 +13,7 @@
 use crate::block::{Block, SimError};
 use crate::signal::Signal;
 use crate::supervise::BlockRole;
-use ofdm_dsp::fir::FirFilter;
+use ofdm_dsp::fir::{DelayLine, FirFilter};
 use ofdm_dsp::Complex64;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -144,7 +144,7 @@ pub struct MultipathChannel {
     taps: Vec<Complex64>,
     /// Last `taps.len() - 1` input samples of the streaming pass so far
     /// (zero-filled at pass start); carries echo memory across chunks.
-    history: Vec<Complex64>,
+    history: DelayLine,
 }
 
 impl MultipathChannel {
@@ -156,9 +156,10 @@ impl MultipathChannel {
     /// Panics if `taps` is empty.
     pub fn new(taps: Vec<Complex64>) -> Self {
         assert!(!taps.is_empty(), "taps must be nonempty");
+        let keep = taps.len() - 1;
         MultipathChannel {
             taps,
-            history: Vec::new(),
+            history: DelayLine::new(keep),
         }
     }
 
@@ -193,49 +194,35 @@ impl Block for MultipathChannel {
     }
 
     fn begin_stream(&mut self) {
-        self.history.clear();
-        self.history.resize(self.taps.len() - 1, Complex64::ZERO);
+        self.history.reset();
     }
 
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
-        if self.history.len() + 1 != self.taps.len() {
-            // Direct use without begin_stream: arm the delay line now.
-            self.history.clear();
-            self.history.resize(self.taps.len() - 1, Complex64::ZERO);
-        }
-        let x = inputs[0].samples();
-        out.clear();
+        let (re, im) = inputs[0].parts();
+        self.history.load(re, im);
         out.set_sample_rate(inputs[0].sample_rate());
-        let hist = self.history.len();
-        for n in 0..x.len() {
-            let mut acc = Complex64::ZERO;
-            for (k, &h) in self.taps.iter().enumerate() {
-                // Samples before the chunk start come from the carried
-                // history; at pass start those are exact zeros, so the sum
-                // matches the batch convolution term for term.
-                let s = if n >= k {
-                    x[n - k]
-                } else {
-                    self.history[hist - (k - n)]
-                };
-                acc += h * s;
+        let (out_re, out_im) = out.parts_vec_mut();
+        out_re.clear();
+        out_im.clear();
+        for (wr, wi) in self.history.windows() {
+            // Samples before the chunk start come from the carried history;
+            // at pass start those are exact zeros, so the sum matches the
+            // batch convolution term for term. Each term is `h · x` in
+            // `Complex64`'s `Mul` order.
+            let (mut acc_re, mut acc_im) = (0.0, 0.0);
+            for ((h, &xr), &xi) in self.taps.iter().zip(wr.iter().rev()).zip(wi.iter().rev()) {
+                acc_re += h.re * xr - h.im * xi;
+                acc_im += h.re * xi + h.im * xr;
             }
-            out.push(acc);
+            out_re.push(acc_re);
+            out_im.push(acc_im);
         }
-        if hist > 0 {
-            if x.len() >= hist {
-                self.history.copy_from_slice(&x[x.len() - hist..]);
-            } else {
-                self.history.rotate_left(x.len());
-                let keep = hist - x.len();
-                self.history[keep..].copy_from_slice(&x);
-            }
-        }
+        self.history.carry();
         Ok(())
     }
 
     fn reset(&mut self) {
-        self.history.clear();
+        self.history.reset();
     }
 }
 
@@ -735,7 +722,6 @@ pub struct DslLineChannel {
     /// The FIR designed for the last input sample rate, kept with that
     /// rate; its delay line carries the line's memory across chunks.
     fir: Option<(f64, FirFilter)>,
-    scratch: Vec<Complex64>,
 }
 
 impl DslLineChannel {
@@ -757,7 +743,6 @@ impl DslLineChannel {
             // model that by raising the length via `with_fir_len`.
             fir_len: 33,
             fir: None,
-            scratch: Vec::new(),
         }
     }
 
@@ -836,8 +821,10 @@ impl Block for DslLineChannel {
             self.fir = Some((fs, FirFilter::new(self.design(fs))));
         }
         let (_, fir) = self.fir.as_mut().expect("designed for this rate above");
-        fir.process_into(&inputs[0].samples(), &mut self.scratch);
-        out.assign(&self.scratch, fs);
+        let (re, im) = inputs[0].parts();
+        let (out_re, out_im) = out.parts_vec_mut();
+        fir.process_split(re, im, out_re, out_im);
+        out.set_sample_rate(fs);
         Ok(())
     }
 

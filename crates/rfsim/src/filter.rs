@@ -14,7 +14,6 @@ use std::f64::consts::PI;
 #[derive(Debug, Clone)]
 pub struct FirBlock {
     filter: FirFilter,
-    scratch: Vec<Complex64>,
 }
 
 impl FirBlock {
@@ -26,7 +25,6 @@ impl FirBlock {
     pub fn new(coeffs: Vec<f64>) -> Self {
         FirBlock {
             filter: FirFilter::new(coeffs),
-            scratch: Vec::new(),
         }
     }
 }
@@ -39,9 +37,10 @@ impl Block for FirBlock {
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
         // The delay line carries across chunks exactly as it does across
         // passes, so chunk-sequential output equals one batch call.
-        self.filter
-            .process_into(&inputs[0].samples(), &mut self.scratch);
-        out.assign(&self.scratch, inputs[0].sample_rate());
+        let (re, im) = inputs[0].parts();
+        let (out_re, out_im) = out.parts_vec_mut();
+        self.filter.process_split(re, im, out_re, out_im);
+        out.set_sample_rate(inputs[0].sample_rate());
         Ok(())
     }
 

@@ -11,7 +11,6 @@ use crate::supervise::BlockRole;
 use ofdm_dsp::spectrum::{band_power, WelchPsd};
 use ofdm_dsp::stats;
 use ofdm_dsp::window::Window;
-use ofdm_dsp::Complex64;
 
 /// Measures mean power (linear and dB) of the signal passing through.
 ///
@@ -321,7 +320,9 @@ pub struct CcdfProbe {
     thresholds_db: Vec<f64>,
     last: Option<Vec<f64>>,
     last_papr_db: Option<f64>,
-    stream_buf: Vec<Complex64>,
+    /// The pass so far, split `re`/`im`.
+    stream_re: Vec<f64>,
+    stream_im: Vec<f64>,
     stream_active: bool,
 }
 
@@ -338,7 +339,8 @@ impl CcdfProbe {
             thresholds_db,
             last: None,
             last_papr_db: None,
-            stream_buf: Vec::new(),
+            stream_re: Vec::new(),
+            stream_im: Vec::new(),
             stream_active: false,
         }
     }
@@ -376,21 +378,25 @@ impl Block for CcdfProbe {
     }
 
     fn begin_stream(&mut self) {
-        self.stream_buf.clear();
+        self.stream_re.clear();
+        self.stream_im.clear();
         self.stream_active = true;
     }
 
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
         out.copy_from(inputs[0]);
-        self.stream_buf.extend(inputs[0].iter());
+        self.stream_re.extend_from_slice(inputs[0].re());
+        self.stream_im.extend_from_slice(inputs[0].im());
         Ok(())
     }
 
     fn end_stream(&mut self) -> Result<(), SimError> {
         if self.stream_active {
-            self.last = Some(stats::power_ccdf(&self.stream_buf, &self.thresholds_db));
-            self.last_papr_db = Some(stats::papr_db(&self.stream_buf));
-            self.stream_buf.clear();
+            let (re, im) = (&self.stream_re, &self.stream_im);
+            self.last = Some(stats::power_ccdf(re, im, &self.thresholds_db));
+            self.last_papr_db = Some(stats::papr_db_split(re, im));
+            self.stream_re.clear();
+            self.stream_im.clear();
             self.stream_active = false;
         }
         Ok(())
@@ -399,7 +405,8 @@ impl Block for CcdfProbe {
     fn reset(&mut self) {
         self.last = None;
         self.last_papr_db = None;
-        self.stream_buf.clear();
+        self.stream_re.clear();
+        self.stream_im.clear();
         self.stream_active = false;
     }
 }

@@ -40,8 +40,10 @@ impl Block for Upsampler {
     }
 
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
-        let y = self.resampler.process(&inputs[0].samples());
-        out.assign(&y, inputs[0].sample_rate() * self.factor as f64);
+        let (re, im) = inputs[0].parts();
+        let (out_re, out_im) = out.parts_vec_mut();
+        self.resampler.process_split(re, im, out_re, out_im);
+        out.set_sample_rate(inputs[0].sample_rate() * self.factor as f64);
         Ok(())
     }
 
@@ -82,8 +84,10 @@ impl Block for Downsampler {
     }
 
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
-        let y = self.resampler.process(&inputs[0].samples());
-        out.assign(&y, inputs[0].sample_rate() / self.factor as f64);
+        let (re, im) = inputs[0].parts();
+        let (out_re, out_im) = out.parts_vec_mut();
+        self.resampler.process_split(re, im, out_re, out_im);
+        out.set_sample_rate(inputs[0].sample_rate() / self.factor as f64);
         Ok(())
     }
 

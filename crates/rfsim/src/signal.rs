@@ -4,8 +4,9 @@
 //! vectors rather than one `Vec<Complex64>`. Whole-buffer kernels
 //! ([`ofdm_dsp::kernels`]) operate on the split slices directly — plain
 //! unit-stride `f64` loops the autovectorizer handles — while per-sample
-//! callers use [`Signal::iter`] / [`Signal::get`] or the allocating
-//! compatibility view [`Signal::samples`].
+//! callers use [`Signal::iter`] / [`Signal::get`]. Tests and inspection
+//! code may read the allocating interleaved view [`Signal::samples`];
+//! library code may not (see [`Signal::samples`]).
 
 use crate::block::SimError;
 use ofdm_dsp::{kernels, stats, Complex64};
@@ -22,8 +23,7 @@ use ofdm_dsp::{kernels, stats, Complex64};
 /// arrays). Hot-path blocks borrow them with [`Signal::parts`] /
 /// [`Signal::parts_mut`] and hand them to batched kernels;
 /// [`Signal::samples`] materializes an interleaved `Vec<Complex64>` copy
-/// for callers that need the classic layout (instrument taps, tests,
-/// FFT bridges) — it allocates, so keep it off per-chunk hot paths.
+/// for tests and inspection.
 ///
 /// # Example
 ///
@@ -169,20 +169,21 @@ impl Signal {
         self.re.len() as f64 / self.sample_rate
     }
 
-    /// Compatibility view: the samples as a freshly interleaved
+    /// Test and inspection view: the samples as a freshly interleaved
     /// `Vec<Complex64>`.
     ///
-    /// This **allocates and copies** on every call — it exists so
-    /// per-sample consumers (instrument taps, analysis helpers, tests)
-    /// survive the structure-of-arrays layout unchanged. Hot paths should
-    /// use [`Signal::parts`] / [`Signal::iter`] instead.
+    /// This **allocates and copies** on every call. Library code reads
+    /// [`Signal::parts`] / [`Signal::iter`] instead: the workspace's
+    /// `clippy.toml` lists this method (and [`Signal::into_samples`]) as
+    /// disallowed, and `ci.sh` denies that lint on library targets.
     pub fn samples(&self) -> Vec<Complex64> {
         let mut out = Vec::new();
         kernels::interleave(&self.re, &self.im, &mut out);
         out
     }
 
-    /// Consumes the signal, returning interleaved samples.
+    /// Consumes the signal, returning interleaved samples (the owning
+    /// [`Signal::samples`]; test and inspection code only).
     pub fn into_samples(self) -> Vec<Complex64> {
         let mut out = Vec::new();
         kernels::interleave(&self.re, &self.im, &mut out);
@@ -384,16 +385,6 @@ impl Signal {
         self.sample_rate = sample_rate;
     }
 
-    /// Appends raw interleaved samples (rate unchanged).
-    pub fn append_samples(&mut self, samples: &[Complex64]) {
-        self.re.reserve(samples.len());
-        self.im.reserve(samples.len());
-        for z in samples {
-            self.re.push(z.re);
-            self.im.push(z.im);
-        }
-    }
-
     /// Appends split component slices (rate unchanged).
     ///
     /// # Panics
@@ -547,7 +538,7 @@ mod tests {
         assert_eq!(s.len(), 5);
         assert_eq!(s.sample_rate(), 3.0e6);
         assert_eq!(s.capacity(), cap);
-        s.append_samples(&[Complex64::ZERO; 2]);
+        s.extend_from_parts(&[0.0; 2], &[0.0; 2]);
         assert_eq!(s.len(), 7);
         s.extend_from_parts(&[1.0], &[0.5]);
         assert_eq!(s.len(), 8);

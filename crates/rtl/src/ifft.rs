@@ -4,7 +4,7 @@
 //! bit-reversal load pass followed by log₂N butterfly stages. Every
 //! butterfly output is halved (with rounding) to prevent overflow, which
 //! makes the overall gain exactly 1/N — the same convention as the
-//! behavioral [`ofdm_dsp::fft::Fft::inverse`], so outputs are directly
+//! behavioral [`ofdm_dsp::fft::Fft::inverse_split_in`], so outputs are directly
 //! comparable (experiment E5).
 
 use crate::fixed::{FxComplex, FxFormat};
@@ -203,7 +203,7 @@ impl IfftStepper {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ofdm_dsp::fft::Fft;
+    use ofdm_dsp::fft::{Fft, FftScratch};
     use ofdm_dsp::Complex64;
 
     fn max_err_vs_float(n: usize, format: FxFormat) -> f64 {
@@ -217,17 +217,19 @@ mod tests {
                 }
             })
             .collect();
-        let float_out = Fft::new(n).inverse_to_vec(&grid);
+        let (mut float_re, mut float_im): (Vec<f64>, Vec<f64>) =
+            grid.iter().map(|z| (z.re, z.im)).unzip();
+        Fft::new(n).inverse_split_in(&mut float_re, &mut float_im, &mut FftScratch::new());
         let mut fx: Vec<FxComplex> = grid
             .iter()
             .map(|z| FxComplex::from_f64(z.re, z.im, format))
             .collect();
         FxIfft::new(n, format).transform(&mut fx);
         fx.iter()
-            .zip(&float_out)
-            .map(|(q, f)| {
+            .zip(float_re.iter().zip(&float_im))
+            .map(|(q, (&f_re, &f_im))| {
                 let (re, im) = q.to_f64();
-                (Complex64::new(re, im) - *f).abs()
+                (Complex64::new(re, im) - Complex64::new(f_re, f_im)).abs()
             })
             .fold(0.0, f64::max)
     }

@@ -416,9 +416,9 @@ mod tests {
         let frame_b = beh.transmit(&sent).unwrap();
         let tx = Tx80211aRtl::new(rate).with_format(FxFormat::new(20, 16));
         let frame_r = tx.transmit(&sent);
-        assert_eq!(frame_b.samples().len(), frame_r.samples.len());
+        assert_eq!(frame_b.signal().len(), frame_r.samples.len());
         let mut max_err = 0.0f64;
-        for (b, r) in frame_b.samples().iter().zip(&frame_r.samples) {
+        for (b, r) in frame_b.signal().samples().iter().zip(&frame_r.samples) {
             max_err = max_err.max((*b - *r).abs());
         }
         assert!(max_err < 5e-3, "max deviation {max_err}");

@@ -116,23 +116,12 @@ impl OfdmDemodulator {
         }
     }
 
-    /// The CP-stripped FFT window `[start, start + fft_size)` for a symbol
-    /// at `offset`, or `None` if fewer than `len` samples are available.
-    fn window_start(&self, len: usize, offset: usize) -> Option<usize> {
-        let start = offset + self.cp_len;
-        if start + self.fft_size > len {
-            return None;
-        }
-        Some(start)
-    }
-
     /// Forward-transforms the CP-stripped window of the symbol at `offset`
     /// into `spectrum` and returns its bins (unnormalized) as split
     /// `(re, im)`, or `None` if the slices are too short.
     ///
     /// The window is copied from the split re/im slices straight into the
-    /// split engine's buffers ([`Fft::forward_split_in`]), the same engine
-    /// the interleaved API wraps.
+    /// split engine's buffers ([`Fft::forward_split_in`]).
     pub(crate) fn spectrum<'a>(
         &self,
         re: &[f64],
@@ -140,8 +129,11 @@ impl OfdmDemodulator {
         offset: usize,
         spectrum: &'a mut Spectrum,
     ) -> Option<(&'a [f64], &'a [f64])> {
-        let start = self.window_start(re.len().min(im.len()), offset)?;
+        let start = offset + self.cp_len;
         let end = start + self.fft_size;
+        if end > re.len().min(im.len()) {
+            return None;
+        }
         spectrum.re.clear();
         spectrum.re.extend_from_slice(&re[start..end]);
         spectrum.im.clear();
@@ -182,34 +174,9 @@ impl OfdmDemodulator {
     }
 
     /// Demodulates symbol `symbol_index` (indexing data symbols from 0)
-    /// whose samples start at `samples[offset]`; returns all occupied
-    /// cells `(carrier, value)` in carrier order, pilots included.
-    /// The window is deinterleaved into the split path, so this is bit for
-    /// bit [`OfdmDemodulator::demodulate_at_parts`] on the same samples.
-    ///
-    /// Returns `None` if the slice is too short.
-    pub fn demodulate_at(
-        &self,
-        samples: &[Complex64],
-        offset: usize,
-        symbol_index: usize,
-    ) -> Option<Vec<(i32, Complex64)>> {
-        let start = self.window_start(samples.len(), offset)?;
-        let window = &samples[start..start + self.fft_size];
-        let mut work = self.work();
-        work.re.clear();
-        work.re.extend(window.iter().map(|z| z.re));
-        work.im.clear();
-        work.im.extend(window.iter().map(|z| z.im));
-        let freq = work.transform(&self.fft);
-        Some(self.extract_cells(freq, &self.phase(symbol_index).occupied))
-    }
-
-    /// Split-slice variant of [`OfdmDemodulator::demodulate_at`]: reads the
-    /// symbol from separate re/im slices (the `rfsim::Signal`
-    /// structure-of-arrays layout) so callers on the hot path never
-    /// materialize a `Vec<Complex64>` view of the whole frame.
-    /// Bit-identical to the interleaved entry point.
+    /// whose samples start at `re[offset]`/`im[offset]` (the
+    /// `rfsim::Signal` split layout); returns all occupied cells
+    /// `(carrier, value)` in carrier order, pilots included.
     ///
     /// Returns `None` if the slices are too short.
     pub fn demodulate_at_parts(
@@ -296,7 +263,11 @@ mod tests {
     #[test]
     fn too_short_slice_returns_none() {
         let demod = OfdmDemodulator::new(minimal_test_params());
-        assert!(demod.demodulate_at(&[Complex64::ZERO; 40], 0, 0).is_none());
+        let short = [0.0; 40];
+        assert!(demod.demodulate_at_parts(&short, &short, 0, 0).is_none());
+        assert!(demod
+            .demodulate_carriers_parts(&short, &short, 0, &[1])
+            .is_none());
     }
 
     #[test]
@@ -315,51 +286,11 @@ mod tests {
         let mut tx = MotherModel::new(params.clone()).unwrap();
         let frame = tx.transmit(&[1u8; 100]).unwrap();
         let demod = OfdmDemodulator::new(params);
-        let cells = demod.demodulate_at(&frame.samples(), 0, 0).unwrap();
+        let (re, im) = frame.signal().parts();
+        let cells = demod.demodulate_at_parts(re, im, 0, 0).unwrap();
         for (r, t) in cells.iter().zip(&frame.symbol_cells()[0]) {
             assert!((r.1 - t.1).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn split_parts_path_bit_identical_to_interleaved() {
-        let params = minimal_test_params();
-        let mut tx = MotherModel::new(params.clone()).unwrap();
-        let payload: Vec<u8> = (0..96).map(|i| ((i * 7) % 2) as u8).collect();
-        let frame = tx.transmit(&payload).unwrap();
-        let samples = frame.samples();
-        let re: Vec<f64> = samples.iter().map(|z| z.re).collect();
-        let im: Vec<f64> = samples.iter().map(|z| z.im).collect();
-        let demod = OfdmDemodulator::new(params);
-        let sym_len = demod.symbol_len();
-        let fft = Fft::new(64);
-        for s in 0..frame.symbol_cells().len() {
-            let a = demod.demodulate_at(&samples, s * sym_len, s).unwrap();
-            let b = demod.demodulate_at_parts(&re, &im, s * sym_len, s).unwrap();
-            assert_eq!(a, b, "symbol {s} must be bit-identical across layouts");
-            // An arbitrary carrier set against a gathered copy through a
-            // fresh, uncached plan.
-            let carriers = demod.data_carriers(s);
-            let start = s * sym_len + 16;
-            let mut window = samples[start..start + 64].to_vec();
-            fft.forward(&mut window);
-            let scale = (carriers.len() as f64).sqrt() / 64.0;
-            let want: Vec<(i32, Complex64)> = carriers
-                .iter()
-                .map(|&k| (k, window[k.rem_euclid(64) as usize].scale(scale)))
-                .collect();
-            let got = demod
-                .demodulate_carriers_parts(&re, &im, s * sym_len, carriers)
-                .unwrap();
-            assert_eq!(got, want, "symbol {s} carrier set must match bit-exactly");
-        }
-        // Too-short slices behave identically too.
-        assert!(demod
-            .demodulate_at_parts(&re[..40], &im[..40], 0, 0)
-            .is_none());
-        assert!(demod
-            .demodulate_carriers_parts(&re[..40], &im[..40], 0, &[1])
-            .is_none());
     }
 
     #[test]

@@ -34,7 +34,6 @@ pub mod demod;
 pub mod eq;
 pub mod fec;
 pub mod loading;
-pub mod metrics;
 pub mod receiver;
 pub mod sync;
 pub mod wlan;

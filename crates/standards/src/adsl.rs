@@ -105,7 +105,7 @@ mod tests {
     fn line_signal_is_real() {
         let mut tx = MotherModel::new(default_params()).unwrap();
         let frame = tx.transmit(&vec![1u8; 2000]).unwrap();
-        for z in frame.samples() {
+        for z in frame.signal().samples() {
             assert!(z.im.abs() < 1e-9);
         }
     }

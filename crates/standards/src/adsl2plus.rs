@@ -98,7 +98,7 @@ mod tests {
         assert!(load.iter().all(|m| m.is_valid()));
         let mut tx = MotherModel::new(default_params()).unwrap();
         let frame = tx.transmit(&vec![1u8; 500]).unwrap();
-        for z in frame.samples() {
+        for z in frame.signal().samples() {
             assert!(z.im.abs() < 1e-9);
         }
     }

@@ -164,10 +164,10 @@ mod tests {
     fn frame_opens_with_null_symbol() {
         let mut tx = MotherModel::new(params(TxMode::III)).unwrap();
         let frame = tx.transmit(&[1u8; 200]).unwrap();
-        let null = &frame.samples()[..345];
+        let null = &frame.signal().samples()[..345];
         assert_eq!(mean_power(null), 0.0);
         // Followed by the (non-silent) phase reference symbol.
-        let reference = &frame.samples()[345..345 + 256 + 63];
+        let reference = &frame.signal().samples()[345..345 + 256 + 63];
         assert!(mean_power(reference) > 0.5);
     }
 

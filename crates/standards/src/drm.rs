@@ -160,7 +160,7 @@ mod tests {
             let frame = tx.transmit(&vec![1u8; 400]).unwrap();
             assert!(frame.symbol_count() >= 1, "{mode:?}");
             let expected = frame.symbol_count() * (mode.fft_size() + mode.guard_samples());
-            assert_eq!(frame.samples().len(), expected, "{mode:?}");
+            assert_eq!(frame.signal().len(), expected, "{mode:?}");
         }
     }
 
@@ -190,6 +190,6 @@ mod tests {
         // The engine must handle the 288-point transform transparently.
         let mut tx = MotherModel::new(params(RobustnessMode::A)).unwrap();
         let frame = tx.transmit(&[1u8; 100]).unwrap();
-        assert_eq!(frame.samples().len() % (288 + 32), 0);
+        assert_eq!(frame.signal().len() % (288 + 32), 0);
     }
 }

@@ -103,7 +103,7 @@ mod tests {
     fn line_signal_real_and_differential() {
         let mut tx = MotherModel::new(default_params()).unwrap();
         let frame = tx.transmit(&vec![1u8; 300]).unwrap();
-        for z in frame.samples() {
+        for z in frame.signal().samples() {
             assert!(z.im.abs() < 1e-9);
         }
         // DQPSK cells stay unit-modulus.
@@ -119,6 +119,6 @@ mod tests {
         let mut tx = MotherModel::new(default_params()).unwrap();
         let frame = tx.transmit(&[0u8; 154]).unwrap();
         // Preamble symbol + data symbols, each 256+84 samples.
-        assert_eq!(frame.samples().len() % (256 + 84), 0);
+        assert_eq!(frame.signal().len() % (256 + 84), 0);
     }
 }

@@ -306,7 +306,7 @@ mod tests {
             assert!(frame.symbol_count() >= 1, "{rate:?}");
             // Preamble 320 samples + 80 per data symbol.
             assert_eq!(
-                frame.samples().len(),
+                frame.signal().len(),
                 320 + frame.symbol_count() * 80,
                 "{rate:?}"
             );

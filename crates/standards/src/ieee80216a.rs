@@ -123,7 +123,7 @@ mod tests {
         let mut tx = MotherModel::new(default_params()).unwrap();
         let frame = tx.transmit(&[1u8; 100]).unwrap();
         let guard = 256 / 8;
-        let body = &frame.samples()[guard..guard + 256];
+        let body = &frame.signal().samples()[guard..guard + 256];
         for i in 0..128 {
             assert!((body[i] - body[i + 128]).abs() < 1e-9, "i = {i}");
         }

@@ -89,8 +89,8 @@ mod tests {
         let mut tx = MotherModel::new(default_params()).unwrap();
         let frame = tx.transmit(&vec![1u8; 1000]).unwrap();
         assert_eq!(frame.symbol_count(), 1); // thousands of bits fit one symbol
-        assert_eq!(frame.samples().len(), FFT_SIZE + GUARD_SAMPLES);
-        for z in frame.samples().iter().step_by(97) {
+        assert_eq!(frame.signal().len(), FFT_SIZE + GUARD_SAMPLES);
+        for z in frame.signal().samples().iter().step_by(97) {
             assert!(z.im.abs() < 1e-9);
         }
     }

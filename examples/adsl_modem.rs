@@ -46,8 +46,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let payload: Vec<u8> = (0..8000).map(|i| ((i * 17 + 3) % 7 < 3) as u8).collect();
     let frame = tx.transmit(&payload)?;
     println!("\nDMT symbols   : {}", frame.symbol_count());
-    println!("line samples  : {}", frame.samples().len());
+    println!("line samples  : {}", frame.signal().len());
     let max_im = frame
+        .signal()
         .samples()
         .iter()
         .map(|z| z.im.abs())

@@ -81,7 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut estimator = ChannelEstimator::new();
     for s in 0..usable / 2 {
         let cells = demod
-            .demodulate_at(&received.samples(), s * sym_len, s)
+            .demodulate_at_parts(received.re(), received.im(), s * sym_len, s)
             .expect("probe symbol present");
         estimator.accumulate(&cells, &probe.symbol_cells()[s]);
     }
@@ -89,7 +89,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut snr = ToneSnr::new();
     for s in usable / 2..usable {
         let cells = demod
-            .demodulate_at(&received.samples(), s * sym_len, s)
+            .demodulate_at_parts(received.re(), received.im(), s * sym_len, s)
             .expect("probe symbol present");
         let eq_cells = equalize(&cells, &est);
         snr.accumulate(&eq_cells, &probe.symbol_cells()[s]);

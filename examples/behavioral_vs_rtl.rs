@@ -34,6 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Functional equivalence first (they must produce the same waveform).
     let max_dev = frame_b
+        .signal()
         .samples()
         .iter()
         .zip(&frame_r.samples)
@@ -49,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         g.chain(&[src, dac, lo, pa, sa])?;
         g.execute(&ExecPlan::batch()).map(|_| ())
     };
-    let n_samples = frame_b.samples().len();
+    let n_samples = frame_b.signal().len();
     let mut g_tone = Graph::new();
     let tone = g_tone.add(ToneSource::new(1e6, 20e6, n_samples));
     let t = Instant::now();

@@ -12,9 +12,20 @@ use ofdm_core::MotherModel;
 use ofdm_dsp::Complex64;
 use ofdm_rx::demod::OfdmDemodulator;
 use ofdm_rx::eq::{equalize, ChannelEstimate};
-use ofdm_rx::metrics::cell_evm_db;
 use ofdm_standards::drm::{self, RobustnessMode};
 use rfsim::prelude::*;
+
+/// RMS error-vector magnitude in dB of received cells against the
+/// transmitted ones (both lists in the same carrier order).
+fn evm_db(received: &[(i32, Complex64)], reference: &[(i32, Complex64)]) -> f64 {
+    let (mut err, mut refpow) = (0.0, 0.0);
+    for ((k, r), (k_ref, x)) in received.iter().zip(reference) {
+        assert_eq!(k, k_ref, "cell lists must share one carrier order");
+        err += (*r - *x).norm_sqr();
+        refpow += x.norm_sqr();
+    }
+    10.0 * (err / refpow).log10()
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     for mode in RobustnessMode::ALL {
@@ -57,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut est = ChannelEstimate::new();
         for s in 0..frame.symbol_count().min(3) {
             let cells_s = demod
-                .demodulate_at(&received.samples(), s * sym_len, s)
+                .demodulate_at_parts(received.re(), received.im(), s * sym_len, s)
                 .expect("symbol present");
             let pilot_refs: Vec<(i32, Complex64)> = frame.symbol_cells()[s]
                 .iter()
@@ -67,13 +78,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             est.merge(&ChannelEstimate::from_reference(&cells_s, &pilot_refs));
         }
         let rx_cells = demod
-            .demodulate_at(&received.samples(), 0, 0)
+            .demodulate_at_parts(received.re(), received.im(), 0, 0)
             .expect("symbol present");
         let tx_cells = &frame.symbol_cells()[0];
         let equalized = equalize(&rx_cells, &est);
 
-        let evm_raw = cell_evm_db(&rx_cells, tx_cells);
-        let evm_eq = cell_evm_db(&equalized, tx_cells);
+        let evm_raw = evm_db(&rx_cells, tx_cells);
+        let evm_eq = evm_db(&equalized, tx_cells);
         println!("  pilots used for estimation : {}", est.len());
         println!("  EVM before equalization    : {evm_raw:>6.1} dB");
         println!("  EVM after  equalization    : {evm_eq:>6.1} dB");

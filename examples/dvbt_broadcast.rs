@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut estimator = ChannelEstimator::new();
     for s in 0..frame.symbol_count().min(4) {
         let cells = demod
-            .demodulate_at(&received.samples(), s * sym_len, s)
+            .demodulate_at_parts(received.re(), received.im(), s * sym_len, s)
             .expect("symbol present");
         let pilots = demod.pilot_cells(s);
         estimator.accumulate(&cells, &pilots);

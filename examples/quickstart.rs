@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\npayload bits  : {}", frame.payload_bits());
     println!("coded bits    : {}", frame.coded_bits());
     println!("OFDM symbols  : {}", frame.symbol_count());
-    println!("samples       : {}", frame.samples().len());
+    println!("samples       : {}", frame.signal().len());
     println!("duration      : {:.2} µs", frame.signal().duration() * 1e6);
     println!("mean power    : {:.3}", frame.signal().power());
     println!("PAPR          : {:.2} dB", frame.signal().papr_db());

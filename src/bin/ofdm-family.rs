@@ -10,7 +10,7 @@
 //!
 //! Run via `cargo run --release --bin ofdm-family -- <command> [standard]`.
 
-use ofdm_core::MotherModel;
+use ofdm_core::{count_bit_errors, MotherModel};
 use ofdm_rx::receiver::ReferenceReceiver;
 use ofdm_standards::{default_params, StandardId};
 use rand::rngs::StdRng;
@@ -133,10 +133,10 @@ fn cmd_loopback(id: StandardId) -> Result<(), Box<dyn std::error::Error>> {
     let (frame, sent) = frame_for(id, 1)?;
     let mut rx = ReferenceReceiver::new(default_params(id))?;
     let got = rx.receive(frame.signal(), sent.len())?;
-    let errors = sent.iter().zip(&got).filter(|(a, b)| a != b).count();
+    let errors = count_bit_errors(&sent, &got);
     println!("payload bits : {}", sent.len());
     println!("OFDM symbols : {}", frame.symbol_count());
-    println!("samples      : {}", frame.samples().len());
+    println!("samples      : {}", frame.signal().len());
     println!("bit errors   : {errors}");
     if errors == 0 {
         println!("loopback     : PASS");
@@ -151,7 +151,8 @@ fn cmd_papr(id: StandardId) -> Result<(), Box<dyn std::error::Error>> {
     println!("mean power : {:.3}", frame.signal().power());
     println!("PAPR       : {:.2} dB", frame.signal().papr_db());
     let thresholds: Vec<f64> = (0..=12).map(|i| i as f64).collect();
-    let ccdf = ofdm_dsp::stats::power_ccdf(&frame.samples(), &thresholds);
+    let (re, im) = frame.signal().parts();
+    let ccdf = ofdm_dsp::stats::power_ccdf(re, im, &thresholds);
     println!("\nCCDF (P[power > x dB above average]):");
     for (t, p) in thresholds.iter().zip(&ccdf) {
         let bar = "#".repeat((p * 50.0).round() as usize);

@@ -22,7 +22,12 @@ use std::path::PathBuf;
 
 const FS: f64 = 20.0e6;
 const LEN: usize = 1000;
+/// The chunk length of the recorded `streamed_37` hashes.
 const CHUNK: usize = 37;
+/// Chunk lengths shorter than the longest block history (the FIR's 30
+/// samples, the DSL line's 32), so every delay line carries across
+/// chunks that do not refill it.
+const SHORT_CHUNKS: [usize; 2] = [1, 7];
 
 /// FNV-1a over 64-bit words.
 struct Hash(u64);
@@ -329,16 +334,16 @@ fn batch(c: &Case) -> [u64; 3] {
     [first, again, readings.0]
 }
 
-/// One streamed pass in `CHUNK`-sample chunks on a fresh instance, then
+/// One streamed pass in `chunk`-sample chunks on a fresh instance, then
 /// its readings.
-fn streamed(c: &Case) -> (u64, u64) {
+fn streamed(c: &Case, chunk: usize) -> (u64, u64) {
     let mut block = (c.make)();
     let inputs = inputs_for(block.as_ref());
     block.begin_stream();
     let mut acc: Option<Signal> = None;
     let mut chunk_out = Signal::default();
-    for start in (0..LEN).step_by(CHUNK) {
-        let take = CHUNK.min(LEN - start);
+    for start in (0..LEN).step_by(chunk) {
+        let take = chunk.min(LEN - start);
         let chunks: Vec<Signal> = inputs
             .iter()
             .map(|s| {
@@ -369,7 +374,7 @@ fn document() -> String {
     let cases = cases();
     for (k, c) in cases.iter().enumerate() {
         let [b, again, br] = batch(c);
-        let (s, sr) = streamed(c);
+        let (s, sr) = streamed(c, CHUNK);
         doc.push_str(&format!(
             "\"{}\":{{\"batch\":\"{b:016x}\",\"batch_again\":\"{again:016x}\",\
              \"batch_readings\":\"{br:016x}\",\
@@ -410,4 +415,36 @@ fn every_block_matches_its_golden_hashes() {
         want.lines().count(),
         "block set changed"
     );
+    // Every block recorded as chunk-invariant at 37 samples must also be
+    // at chunks shorter than its history.
+    for c in cases() {
+        let key = format!("\"{}\":{{", c.name);
+        let line = want
+            .lines()
+            .find(|l| l.starts_with(&key))
+            .unwrap_or_else(|| panic!("{} has no golden line", c.name));
+        let batch = recorded(line, "batch");
+        if batch != recorded(line, "streamed_37") {
+            continue;
+        }
+        for chunk in SHORT_CHUNKS {
+            let (s, _) = streamed(&c, chunk);
+            assert_eq!(
+                format!("{s:016x}"),
+                batch,
+                "{} streamed in {chunk}-sample chunks differs from its batch output",
+                c.name
+            );
+        }
+    }
+}
+
+/// The hash recorded under `field` in one golden line.
+fn recorded<'a>(line: &'a str, field: &str) -> &'a str {
+    let key = format!("\"{field}\":\"");
+    let start = line
+        .find(&key)
+        .unwrap_or_else(|| panic!("no `{field}` in {line}"))
+        + key.len();
+    &line[start..start + 16]
 }

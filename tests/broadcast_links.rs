@@ -147,7 +147,7 @@ fn homeplug_hermitian_waveform_is_real_through_the_chain() {
     let mut tx = MotherModel::new(params).expect("valid");
     let frame = tx.transmit(&sent).expect("tx");
     // A power line carries real voltages; the model must too.
-    for z in frame.samples() {
+    for z in frame.signal().samples() {
         assert!(z.im.abs() < 1e-9);
     }
 }

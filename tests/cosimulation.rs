@@ -77,7 +77,10 @@ fn pa_nonlinearity_causes_spectral_regrowth() {
     let bits: Vec<u8> = (0..4000).map(|i| ((i * 7) % 3 == 0) as u8).collect();
     let frame = tx.transmit(&bits).expect("tx");
     let mut up = Resampler::new(4, 1, 16);
-    let oversampled = Signal::new(up.process(&frame.samples()), params.sample_rate * 4.0);
+    let (re, im) = frame.signal().parts();
+    let (mut up_re, mut up_im) = (Vec::new(), Vec::new());
+    up.process_split(re, im, &mut up_re, &mut up_im);
+    let oversampled = Signal::from_parts(up_re, up_im, params.sample_rate * 4.0);
 
     let oob = |backoff: f64| -> f64 {
         let mut g = Graph::new();

@@ -40,7 +40,7 @@ fn loop_ber(id: StandardId, loss_db: f64, snr_db: f64, seed: u64) -> f64 {
     let mut estimator = ChannelEstimator::new();
     for s in 0..frame.symbol_count() / 2 {
         let cells = demod
-            .demodulate_at(&received.samples(), s * sym_len, s)
+            .demodulate_at_parts(received.re(), received.im(), s * sym_len, s)
             .expect("symbol present");
         estimator.accumulate(&cells, &frame.symbol_cells()[s]);
     }
@@ -98,7 +98,7 @@ fn vdsl_frame_structure_survives_the_line() {
     let demod = OfdmDemodulator::new(params.clone());
     let mut estimator = ChannelEstimator::new();
     let cells0 = demod
-        .demodulate_at(&received.samples(), 0, 0)
+        .demodulate_at_parts(received.re(), received.im(), 0, 0)
         .expect("symbol present");
     estimator.accumulate(&cells0, &frame.symbol_cells()[0]);
     let mut rx = ReferenceReceiver::new(params).expect("valid");

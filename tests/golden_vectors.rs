@@ -48,7 +48,7 @@ fn reference_waveform(id: StandardId) -> Vec<Complex64> {
     let bits = payload_bits(2 * p.nominal_bits_per_symbol().max(100), GOLDEN_SEED);
     let mut tx = MotherModel::new(p).expect("valid preset");
     let frame = tx.transmit(&bits).expect("transmits");
-    let samples = frame.samples();
+    let samples = frame.signal().samples();
     samples[..samples.len().min(GOLDEN_SAMPLES)].to_vec()
 }
 

@@ -21,7 +21,7 @@ fn ber_with_interferer(cir_db: f64) -> f64 {
     let sent = random_bits(4000, 77);
     let mut tx = MotherModel::new(params.clone()).expect("valid");
     let frame = tx.transmit(&sent).expect("tx");
-    let n = frame.samples().len();
+    let n = frame.signal().len();
 
     let mut g = Graph::new();
     let desired = g.add(SamplePlayback::new(frame.signal().clone()));
@@ -65,7 +65,7 @@ fn interferer_energy_is_localized_in_frequency() {
     let sent = random_bits(4000, 9);
     let mut tx = MotherModel::new(params).expect("valid");
     let frame = tx.transmit(&sent).expect("tx");
-    let n = frame.samples().len();
+    let n = frame.signal().len();
 
     let mut g = Graph::new();
     let desired = g.add(SamplePlayback::new(frame.signal().clone()));

@@ -66,7 +66,7 @@ fn fresh_transmitters_reproduce_waveforms() {
         let mut tx2 = MotherModel::new(params).expect("valid");
         let f1 = tx1.transmit(&sent).expect("tx");
         let f2 = tx2.transmit(&sent).expect("tx");
-        assert_eq!(f1.samples(), f2.samples(), "{id}");
+        assert_eq!(f1.signal().samples(), f2.signal().samples(), "{id}");
     }
 }
 
@@ -140,6 +140,7 @@ fn dmt_members_emit_real_signals_and_wireless_members_do_not() {
         let mut tx = MotherModel::new(params).expect("valid");
         let frame = tx.transmit(&random_bits(n_bits, 3)).expect("tx");
         let max_im = frame
+            .signal()
             .samples()
             .iter()
             .map(|z| z.im.abs())

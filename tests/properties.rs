@@ -11,7 +11,7 @@ use ofdm_core::scramble::{Scrambler, ScramblerSpec};
 use ofdm_core::source::OfdmSource;
 use ofdm_core::symbol::GuardInterval;
 use ofdm_core::{MotherModel, StreamState};
-use ofdm_dsp::fft::{dft_naive, Fft};
+use ofdm_dsp::fft::{dft_naive, Fft, FftScratch};
 use ofdm_dsp::Complex64;
 use ofdm_rx::fec::ViterbiDecoder;
 use ofdm_rx::receiver::ReferenceReceiver;
@@ -37,8 +37,9 @@ proptest! {
                 Complex64::new((x * 0.013).sin(), (x * 0.007).cos())
             })
             .collect();
-        let fft = Fft::new(n);
-        let got = fft.forward_to_vec(&input);
+        let (mut re, mut im): (Vec<f64>, Vec<f64>) = input.iter().map(|z| (z.re, z.im)).unzip();
+        Fft::new(n).forward_split_in(&mut re, &mut im, &mut FftScratch::new());
+        let got: Vec<Complex64> = re.iter().zip(&im).map(|(&r, &i)| Complex64::new(r, i)).collect();
         let expect = dft_naive(&input);
         for (g, e) in got.iter().zip(&expect) {
             prop_assert!((*g - *e).abs() < 1e-7, "n={n}");
@@ -52,11 +53,12 @@ proptest! {
             .map(|i| Complex64::cis(((i as u64 * 37 + seed) % 1009) as f64 * 0.1))
             .collect();
         let fft = Fft::new(n);
-        let mut buf = input.clone();
-        fft.forward(&mut buf);
-        fft.inverse(&mut buf);
-        for (a, b) in buf.iter().zip(&input) {
-            prop_assert!((*a - *b).abs() < 1e-9);
+        let (mut re, mut im): (Vec<f64>, Vec<f64>) = input.iter().map(|z| (z.re, z.im)).unzip();
+        let mut scratch = FftScratch::new();
+        fft.forward_split_in(&mut re, &mut im, &mut scratch);
+        fft.inverse_split_in(&mut re, &mut im, &mut scratch);
+        for ((&r, &i), b) in re.iter().zip(&im).zip(&input) {
+            prop_assert!((Complex64::new(r, i) - *b).abs() < 1e-9);
         }
     }
 
@@ -265,7 +267,7 @@ proptest! {
         tx.begin_stream(&payload, &mut state).expect("streams");
         let mut got = Vec::new();
         while tx.stream_into(&mut state, 1 << chunk_exp, &mut got) > 0 {}
-        prop_assert_eq!(want.samples(), &got[..], "{}", id.key());
+        prop_assert_eq!(want.signal().samples(), &got[..], "{}", id.key());
     }
 
     /// Engine-plan permutation invariance: for every registry standard
@@ -402,7 +404,7 @@ proptest! {
         let _ = tx.transmit(&bits_b).expect("tx");
         tx.reconfigure(pa).expect("valid preset");
         let again = tx.transmit(&bits_a).expect("tx");
-        prop_assert_eq!(want.samples(), again.samples(),
+        prop_assert_eq!(want.signal().samples(), again.signal().samples(),
             "{} -> {} -> {}",
             StandardId::ALL[a_idx].key(),
             StandardId::ALL[b_idx].key(),

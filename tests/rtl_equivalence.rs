@@ -21,11 +21,12 @@ fn max_deviation(rate: WlanRate, format: FxFormat, bits: &[u8]) -> f64 {
     let frame_b = beh.transmit(bits).expect("tx");
     let frame_r = Tx80211aRtl::new(rate).with_format(format).transmit(bits);
     assert_eq!(
-        frame_b.samples().len(),
+        frame_b.signal().len(),
         frame_r.samples.len(),
         "same frame layout"
     );
     frame_b
+        .signal()
         .samples()
         .iter()
         .zip(&frame_r.samples)

@@ -13,7 +13,7 @@
 
 use ofdm_core::source::OfdmSource;
 use ofdm_core::MotherModel;
-use ofdm_dsp::{fft, kernels, Complex64};
+use ofdm_dsp::{kernels, Complex64};
 use ofdm_standards::{default_params, StandardId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -125,46 +125,6 @@ fn pa_scalar_twins_are_bit_exact_on_every_standard() {
     }
 }
 
-/// The split-array FFT path and the complex interleaved API run one
-/// engine: at every FFT size the registry uses, both directions, their
-/// outputs are equal bit for bit.
-#[test]
-fn fft_split_path_matches_complex_engine_at_registry_sizes() {
-    let mut sizes: Vec<usize> = StandardId::ALL
-        .iter()
-        .map(|&id| default_params(id).map.fft_size())
-        .collect();
-    sizes.sort_unstable();
-    sizes.dedup();
-    let mut rng = StdRng::seed_from_u64(0xFF7_5EED);
-    let mut scratch = fft::FftScratch::new();
-    for n in sizes {
-        let plan = fft::plan(n);
-        let data: Vec<Complex64> = (0..n)
-            .map(|_| Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
-            .collect();
-        for forward in [true, false] {
-            let mut complex = data.clone();
-            let mut re: Vec<f64> = data.iter().map(|z| z.re).collect();
-            let mut im: Vec<f64> = data.iter().map(|z| z.im).collect();
-            if forward {
-                plan.forward_in(&mut complex, &mut scratch);
-                plan.forward_split_in(&mut re, &mut im, &mut scratch);
-            } else {
-                plan.inverse_in(&mut complex, &mut scratch);
-                plan.inverse_split_in(&mut re, &mut im, &mut scratch);
-            }
-            for (k, &want) in complex.iter().enumerate() {
-                assert_eq!(
-                    (re[k].to_bits(), im[k].to_bits()),
-                    (want.re.to_bits(), want.im.to_bits()),
-                    "n={n} forward={forward} bin {k}"
-                );
-            }
-        }
-    }
-}
-
 /// The streaming transmitter (split grid, precomputed pilot templates and
 /// symbol plans, reused scratch) emits exactly the batch frame for every
 /// standard at every chunking — the SoA hot path may not perturb a single
@@ -196,14 +156,10 @@ fn streaming_equals_batch_for_every_standard() {
 }
 
 /// The receiver hot path reads the frame straight from its split re/im
-/// storage (`demodulate_at_parts`); the retained interleaved entry point
-/// (`demodulate_at` on a gathered `samples()` copy) is the reference. The
-/// two must agree to the bit on every symbol of every standard in the
-/// family, and the full receiver must still decode the payload error-free
-/// through the split path.
+/// storage (`demodulate_at_parts`): the full receiver must decode the
+/// payload error-free on every standard in the family.
 #[test]
 fn receiver_split_path_is_bit_exact_on_every_standard() {
-    use ofdm_rx::demod::OfdmDemodulator;
     use ofdm_rx::receiver::ReferenceReceiver;
     for id in StandardId::ALL {
         let params = default_params(id);
@@ -212,31 +168,6 @@ fn receiver_split_path_is_bit_exact_on_every_standard() {
         let mut tx = MotherModel::new(params.clone()).unwrap_or_else(|e| panic!("{id}: {e}"));
         let frame = tx.transmit(&sent).unwrap_or_else(|e| panic!("{id}: {e}"));
 
-        // Symbol-level: split demodulation vs the interleaved reference.
-        let demod = OfdmDemodulator::new(params.clone());
-        let modulator = ofdm_core::symbol::SymbolModulator::new(
-            params.map.fft_size(),
-            params.guard,
-            params.taper_len,
-            params.map.is_hermitian(),
-        )
-        .unwrap_or_else(|e| panic!("{id}: {e}"));
-        let preamble = ofdm_core::framing::preamble_len(&params.preamble, &modulator);
-        let samples = frame.samples();
-        let (re, im) = frame.signal().parts();
-        let sym_len = demod.symbol_len();
-        for s in 0..frame.symbol_count() {
-            let offset = preamble + s * sym_len;
-            let reference = demod
-                .demodulate_at(&samples, offset, s)
-                .unwrap_or_else(|| panic!("{id}: symbol {s} interleaved"));
-            let split = demod
-                .demodulate_at_parts(re, im, offset, s)
-                .unwrap_or_else(|| panic!("{id}: symbol {s} split"));
-            assert_eq!(reference, split, "{id}: symbol {s} diverged across layouts");
-        }
-
-        // End-to-end: the split-path receiver still decodes cleanly.
         let mut rx = ReferenceReceiver::new(params).unwrap_or_else(|e| panic!("{id}: {e}"));
         let got = rx
             .receive(frame.signal(), sent.len())

@@ -121,7 +121,7 @@ fn hashes(label: &str, params: &OfdmParams, seed: u64) -> (u64, u64, u64) {
     let (mut wave, mut cells) = (Fnv::new(), Fnv::new());
     for p in &frames {
         let frame = tx.transmit(p).expect("valid payload");
-        wave.samples(&frame.samples());
+        wave.samples(&frame.signal().samples());
         cells.cells(frame.symbol_cells());
     }
     for chunk in [1usize, 37, 256] {
@@ -302,7 +302,7 @@ fn dmt_waveforms_match_the_mirrored_full_length_oracle() {
             );
             let want = assemble(&sections);
             wave.samples(&want);
-            let got = frame.samples();
+            let got = frame.signal().samples();
             assert_eq!(got.len(), want.len(), "{label}");
             let peak = want.iter().map(|z| z.abs()).fold(0.0, f64::max);
             let err = got
